@@ -13,7 +13,7 @@ scattering amplitudes. Submodules:
     cli       the `axxz` command line front end
 """
 
-from . import bae, cli, core, thermo, tqverify
+from . import bae, core, thermo, tqverify
 from .model import (
     COSH_ETA,
     ED_CAP,

@@ -11,17 +11,13 @@ Subcommands
 Exit codes: 0 success, 2 invalid input or failed validation, 3 solver
 non-convergence, 4 I/O failure. All numbers are emitted with full float
 precision (repr), so both the CSV and JSON forms round-trip exactly; JSON
-encodes a complex value as {"re": x, "im": y}. AXXZ_THREADS sets the worker
-count for batch re-convergence runs.
+encodes a complex value as {"re": x, "im": y}.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,35 +44,6 @@ _PROCESSES = ("I_I", "II_II", "I_II")
 _PATTERNS = ("ground", "type_I", "type_II")
 
 
-@dataclass
-class RunConfig:
-    """Parsed invocation; one instance drives exactly one subcommand."""
-
-    command: str  # "ed" | "bae" | "verify" | "thermo" | "scatter" | "table1"
-    n: int | None = None
-    fmt: str = "csv"
-    out: str | None = None
-    quantity: str | None = None
-    alpha: float = 0.0
-    hole_pos: float | None = None
-    process: str | None = None
-    a1: float = 0.0
-    a2: float = 0.0
-    pattern: str = "ground"
-    number: int | None = None
-    position: int | None = None
-    tol: float | None = None
-    seed: int | None = None
-    levels: int = 5
-    samples: int = 20
-    fixture: str | None = None
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        fields = {k: v for k, v in vars(args).items() if k in cls.__dataclass_fields__}
-        return cls(**fields)
-
-
 def _fnum(x) -> str:
     return repr(float(x))
 
@@ -93,20 +60,11 @@ def _emit(text: str, out: str | None):
             fh.write(text + "\n")
 
 
-def _threads() -> int:
-    raw = os.environ.get("AXXZ_THREADS", "1")
-    try:
-        w = int(raw)
-    except ValueError:
-        raise ValueError(f"AXXZ_THREADS must be an integer, got {raw!r}") from None
-    return max(1, w)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def run_ed(cfg: RunConfig):
+def run_ed(cfg: argparse.Namespace):
     params = ModelParams(n_sites=cfg.n)
     res = diagonalize_symmetric(build_hamiltonian(params))
     rows = []
@@ -123,7 +81,7 @@ def run_ed(cfg: RunConfig):
     return 0, text
 
 
-def _quantum_numbers(cfg: RunConfig):
+def _quantum_numbers(cfg: argparse.Namespace):
     if cfg.pattern == "ground":
         return bae.ground_numbers(cfg.n)
     if cfg.pattern == "type_I":
@@ -137,7 +95,7 @@ def _quantum_numbers(cfg: RunConfig):
     return bae.type_two_numbers(cfg.n, cfg.position)
 
 
-def run_bae(cfg: RunConfig):
+def run_bae(cfg: argparse.Namespace):
     params = ModelParams(n_sites=cfg.n)
     qn = _quantum_numbers(cfg)
     scfg = SolverConfig(tol=cfg.tol) if cfg.tol else SolverConfig()
@@ -168,7 +126,7 @@ def run_bae(cfg: RunConfig):
     return 0, text
 
 
-def run_verify(cfg: RunConfig):
+def run_verify(cfg: argparse.Namespace):
     n = cfg.n if cfg.n is not None else 4
     if n > 8:
         raise ValueError("verify is limited to n <= 8 (dense transfer matrices)")
@@ -252,7 +210,7 @@ def run_verify(cfg: RunConfig):
 _GRID = np.linspace(-5.0, 5.0, 201)
 
 
-def run_thermo(cfg: RunConfig):
+def run_thermo(cfg: argparse.Namespace):
     q = cfg.quantity
     if q == "eg":
         return 0, _scalar_out(cfg, {"quantity": q}, thermo.ground_energy_density())
@@ -284,13 +242,13 @@ def run_thermo(cfg: RunConfig):
     return 0, _grid_out(cfg, q, vals, atoms)
 
 
-def _scalar_out(cfg: RunConfig, meta: dict, value: float) -> str:
+def _scalar_out(cfg: argparse.Namespace, meta: dict, value: float) -> str:
     if cfg.fmt == "json":
         return json.dumps({**meta, "value": float(value)})
     return _fnum(value)
 
 
-def _grid_out(cfg: RunConfig, q: str, vals, atoms) -> str:
+def _grid_out(cfg: argparse.Namespace, q: str, vals, atoms) -> str:
     if cfg.fmt == "json":
         return json.dumps({
             "quantity": q,
@@ -305,7 +263,7 @@ def _grid_out(cfg: RunConfig, q: str, vals, atoms) -> str:
     return "\n".join(lines)
 
 
-def run_scatter(cfg: RunConfig):
+def run_scatter(cfg: argparse.Namespace):
     amp = thermo.smatrix(cfg.process, cfg.a1, cfg.a2)
     v = amp.value
     re = v.real if v.real != 0 else 0.0
@@ -351,7 +309,7 @@ def _load_fixture(path: str):
     return rows
 
 
-def run_table1(cfg: RunConfig):
+def run_table1(cfg: argparse.Namespace):
     tol = cfg.tol if cfg.tol is not None else 1e-3
     path = cfg.fixture or _bundled_fixture()
     try:
@@ -376,16 +334,11 @@ def run_table1(cfg: RunConfig):
             "delta_ed": abs(zps.energy - ed_vals[i]),
         }
 
-    workers = _threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(solve_row, rows))
-    else:
-        results = [solve_row(r) for r in rows]
+    results = [solve_row(r) for r in rows]
 
     failed = 0
     for r in results:
-        r["ok"] = r["delta_fixture"] <= tol and r["delta_ed"] <= 1e-8
+        r["ok"] = bool(r["delta_fixture"] <= tol and r["delta_ed"] <= 1e-8)
         failed += 0 if r["ok"] else 1
 
     if cfg.fmt == "json":
@@ -470,8 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = RunConfig.from_args(args)
+    cfg = build_parser().parse_args(argv)
     try:
         code, text = _DISPATCH[cfg.command](cfg)
         _emit(text, cfg.out)

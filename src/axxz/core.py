@@ -5,13 +5,17 @@ t(u) = tr_0{ sigma^x_0 R_0N(u - theta_N) ... R_01(u - theta_1) } and the
 antiperiodic XXZ Hamiltonian as dense 2^N x 2^N arrays, and resolves the
 joint eigenbasis of H and t. This module is the exact-diagonalization
 oracle everything else is checked against.
+
+Basis index bits are spins, site 1 the most significant bit, bit 0 = up.
+H is filled from bit arithmetic on these indices, in O(N 2^N) work, and the
+spin flip U = prod sigma^x maps index i to 2^N - 1 - i, so U acts on a
+vector or on matrix rows by reversal.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .model import (
-    COSH_ETA,
     ED_CAP,
     ETA,
     U_PROBE,
@@ -21,25 +25,6 @@ from .model import (
     ModelParams,
     SpectrumResult,
 )
-
-I2 = np.eye(2, dtype=complex)
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def lift(op: np.ndarray, site: int, n: int) -> np.ndarray:
-    """Embed a single-site operator at position site (1-based) in n sites."""
-    return np.kron(np.kron(np.eye(2 ** (site - 1)), op), np.eye(2 ** (n - site)))
-
-
-def spin_flip_operator(n: int) -> np.ndarray:
-    """U = prod_j sigma^x_j, the Z2 symmetry of the twisted chain."""
-    u = np.ones((1, 1))
-    for _ in range(n):
-        u = np.kron(u, SX.real)
-    return u
-
 
 def _check_capacity(n: int):
     if n > ED_CAP:
@@ -74,26 +59,36 @@ def build_hamiltonian(params: ModelParams) -> np.ndarray:
 
     H = -sum_j [xx + yy + cosh(eta) zz] with the sigma^x-twisted closure
     sigma_{N+1} = sigma^x_1 sigma_1 sigma^x_1: the boundary bond picks up
-    sign flips on yy and zz.
+    sign flips on yy and zz. On basis states, bulk bond (j, j+1) adds
+    -cosh(eta) zz to the diagonal and hops antiparallel pairs with
+    amplitude -2; the boundary bond (N, 1) adds +cosh(eta) zz and hops
+    parallel pairs. The diagonal sums bonds in order j = 1..N-1, then the
+    boundary.
     """
     n = params.n_sites
     _check_capacity(n)
-    ch = np.cosh(params.eta)
+    ch = complex(np.cosh(params.eta))
     dim = 2**n
-    h = np.zeros((dim, dim), dtype=complex)
-    for j in range(1, n):
-        h -= (
-            lift(SX, j, n) @ lift(SX, j + 1, n)
-            + lift(SY, j, n) @ lift(SY, j + 1, n)
-            + ch * lift(SZ, j, n) @ lift(SZ, j + 1, n)
-        )
-    h -= (
-        lift(SX, n, n) @ lift(SX, 1, n)
-        - lift(SY, n, n) @ lift(SY, 1, n)
-        - ch * lift(SZ, n, n) @ lift(SZ, 1, n)
-    )
-    if np.max(np.abs(h.imag)) < 1e-12:
-        return np.ascontiguousarray(h.real)
+    idx = np.arange(dim)
+    spins = (idx >> np.arange(n - 1, -1, -1)[:, None]) & 1  # row j-1: site j
+    diag = np.zeros(dim, dtype=complex)
+    hops = []
+    for j in range(n):
+        k = (j + 1) % n
+        anti = spins[j] != spins[k]
+        zz = np.where(anti, -1.0, 1.0)
+        mask = (1 << (n - 1 - j)) | (1 << (n - 1 - k))
+        if k:
+            diag -= ch * zz
+            hops.append((idx[anti], mask))
+        else:  # twisted boundary bond
+            diag += ch * zz
+            hops.append((idx[~anti], mask))
+    real = np.max(np.abs(diag.imag)) < 1e-12
+    h = np.zeros((dim, dim), dtype=float if real else complex)
+    h[idx, idx] = diag.real if real else diag
+    for src, mask in hops:
+        h[src, src ^ mask] = -2.0
     return h
 
 
@@ -120,6 +115,17 @@ def build_transfer_matrix(u: complex, params: ModelParams) -> np.ndarray:
     return m[0][0] + m[1][1]
 
 
+def _degenerate_blocks(vals: np.ndarray, tol: float = 1e-8):
+    """Yield (start, stop) of each run of ascending levels within tol of its first."""
+    i, dim = 0, len(vals)
+    while i < dim:
+        j = i + 1
+        while j < dim and vals[j] - vals[i] < tol:
+            j += 1
+        yield i, j
+        i = j
+
+
 def diagonalize_symmetric(m: np.ndarray, want_vectors: bool = True,
                           herm_tol: float = 1e-10) -> SpectrumResult:
     """Full ascending spectrum of a real symmetric matrix.
@@ -129,9 +135,11 @@ def diagonalize_symmetric(m: np.ndarray, want_vectors: bool = True,
     U-parity eigenstate, and the +-1 labels are returned.
     """
     m = np.asarray(m)
-    if np.max(np.abs(np.asarray(m, dtype=complex).imag)) > herm_tol:
-        raise ValueError("matrix has a non-negligible imaginary part")
-    m = np.asarray(m, dtype=complex).real
+    if np.iscomplexobj(m):
+        if np.max(np.abs(m.imag)) > herm_tol:
+            raise ValueError("matrix has a non-negligible imaginary part")
+        m = m.real
+    m = m.astype(float, copy=False)
     if np.max(np.abs(m - m.T)) > herm_tol * max(1.0, np.max(np.abs(m))):
         raise ValueError("matrix is not symmetric")
     vals, vecs = np.linalg.eigh(m)
@@ -141,22 +149,16 @@ def diagonalize_symmetric(m: np.ndarray, want_vectors: bool = True,
     parity = None
     dim = m.shape[0]
     n = dim.bit_length() - 1
-    if 2**n == dim and n >= 1:
-        u = spin_flip_operator(n)
-        if np.max(np.abs(u @ m - m @ u)) < 1e-9 * max(1.0, np.max(np.abs(m))):
-            # rotate each degenerate block into U eigenvectors
-            parity = np.empty(dim, dtype=int)
-            i = 0
-            while i < dim:
-                j = i
-                while j + 1 < dim and vals[j + 1] - vals[i] < 1e-8:
-                    j += 1
-                block = vecs[:, i : j + 1]
-                ub = block.T @ u @ block
-                w, s = np.linalg.eigh(ub)
-                vecs[:, i : j + 1] = block @ s
-                parity[i : j + 1] = np.where(w > 0, 1, -1)
-                i = j + 1
+    # U m U = m with U the index reversal: U commutes with m
+    if 2**n == dim and n >= 1 and (
+            np.max(np.abs(m[::-1, ::-1] - m)) < 1e-9 * max(1.0, np.max(np.abs(m)))):
+        # rotate each degenerate block into U eigenvectors
+        parity = np.empty(dim, dtype=int)
+        for i, j in _degenerate_blocks(vals):
+            block = vecs[:, i:j]
+            w, s = np.linalg.eigh(block.T @ block[::-1])
+            vecs[:, i:j] = block @ s
+            parity[i:j] = np.where(w > 0, 1, -1)
     return SpectrumResult(eigenvalues=vals, eigenvectors=vecs, parity=parity)
 
 
@@ -168,23 +170,15 @@ def joint_eigenstates(params: ModelParams, probe: complex = U_PROBE):
     t(probe). Returns (energies ascending, eigenvector matrix) with columns
     that are joint eigenstates.
     """
-    h = build_hamiltonian(params)
-    vals, q = np.linalg.eigh(np.asarray(h, dtype=complex).real)
+    vals, q = np.linalg.eigh(build_hamiltonian(params).real)
     tp = build_transfer_matrix(probe, params)
     vecs = q.astype(complex)
-    i = 0
-    dim = len(vals)
-    while i < dim:
-        j = i
-        while j + 1 < dim and vals[j + 1] - vals[i] < 1e-8:
-            j += 1
-        if j > i:
-            block = vecs[:, i : j + 1]
-            b = block.conj().T @ tp @ block
-            _, s = np.linalg.eig(b)
+    for i, j in _degenerate_blocks(vals):
+        if j - i > 1:
+            block = vecs[:, i:j]
+            _, s = np.linalg.eig(block.conj().T @ tp @ block)
             s /= np.linalg.norm(s, axis=0, keepdims=True)
-            vecs[:, i : j + 1] = block @ s
-        i = j + 1
+            vecs[:, i:j] = block @ s
     return vals, vecs
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bae import canonicalize
+from .bae import _zeros_of, canonicalize
 from .core import transfer_eigenvalue_on_state
 from .model import (
     ETA,
@@ -25,7 +25,6 @@ from .model import (
     InconsistentZeroSetError,
     ModelParams,
     SpectralFunction,
-    ZeroPointSet,
 )
 
 # generic probe points for pointwise identity checks; chosen off the lines
@@ -55,12 +54,6 @@ def lambda_from_zeros(u, f: SpectralFunction):
     u = np.asarray(u, dtype=complex)
     val = f.lambda0 * np.prod(np.sinh(u[..., None] - z), axis=-1)
     return val if val.ndim else complex(val)
-
-
-def _zeros_of(zeros) -> np.ndarray:
-    if isinstance(zeros, ZeroPointSet):
-        return np.asarray(zeros.zeros, dtype=complex)
-    return np.asarray(zeros, dtype=complex)
 
 
 def fit_lambda0(zeros, params: ModelParams) -> SpectralFunction:

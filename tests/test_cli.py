@@ -1,9 +1,14 @@
 """Command line behavior: output schemas, exit codes, format equivalence."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import axxz
 from axxz.cli import main
 
 
@@ -148,11 +153,12 @@ class TestTable1:
         assert lines[-1] == "summary,rows,32,failed,0"
         assert all(line.endswith(",OK") for line in lines[:-1])
 
-    def test_threaded_run_matches(self, capsys, monkeypatch):
-        _, serial, _ = run(capsys, "table1")
-        monkeypatch.setenv("AXXZ_THREADS", "4")
-        _, threaded, _ = run(capsys, "table1")
-        assert serial == threaded
+    def test_bundled_fixture_json(self, capsys):
+        code, out, _ = run(capsys, "table1", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert len(doc["rows"]) == 32 and doc["failed"] == 0
+        assert all(r["ok"] is True for r in doc["rows"])
 
     def test_value_corruption_flagged(self, capsys, tmp_path, table_rows):
         import csv as csvmod
@@ -194,10 +200,17 @@ class TestOutput:
                          str(tmp_path / "no" / "dir" / "x.csv"))
         assert code == 4
 
-    def test_bad_thread_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("AXXZ_THREADS", "lots")
-        code, _, err = run(capsys, "table1")
-        assert code == 2 and "AXXZ_THREADS" in err
+    def test_module_entry_point_runs_without_warning(self):
+        src = str(Path(axxz.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "axxz.cli",
+             "scatter", "--process", "I_I"],
+            capture_output=True, text=True, timeout=60, check=False, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "1+0i"
 
     def test_json_round_trip_is_exact(self, capsys):
         _, out, _ = run(capsys, "bae", "--n", "6", "--format", "json")

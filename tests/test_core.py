@@ -19,12 +19,29 @@ from axxz.model import (
     ZeroPointSet,
 )
 
+SX = np.array([[0, 1], [1, 0]], dtype=complex)
+SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0])
 PERM = np.eye(4)[[0, 2, 1, 3]]
 
 
 def rel(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(a), np.linalg.norm(b), 1e-300)
+
+
+def kron_hamiltonian(params):
+    """The defining H, with Paulis lifted by Kronecker products (site 1 leftmost)."""
+    n, ch = params.n_sites, np.cosh(params.eta)
+
+    def lift(op, site):
+        return np.kron(np.kron(np.eye(2 ** (site - 1)), op), np.eye(2 ** (n - site)))
+
+    h = np.zeros((2**n, 2**n), dtype=complex)
+    for j in range(1, n):
+        h -= (lift(SX, j) @ lift(SX, j + 1) + lift(SY, j) @ lift(SY, j + 1)
+              + ch * lift(SZ, j) @ lift(SZ, j + 1))
+    h -= lift(SX, n) @ lift(SX, 1) - lift(SY, n) @ lift(SY, 1) - ch * lift(SZ, n) @ lift(SZ, 1)
+    return h.real if np.max(np.abs(h.imag)) < 1e-12 else h
 
 
 class TestRMatrix:
@@ -73,16 +90,20 @@ class TestHamiltonian:
         assert abs(np.sum(res.eigenvalues)) < 1e-10
         assert len(res.eigenvalues) == 4
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_kronecker_definition(self, n):
+        params = ModelParams(n_sites=n)
+        assert np.array_equal(core.build_hamiltonian(params), kron_hamiltonian(params))
+
     def test_spin_flip_symmetry(self, params6):
+        # U = prod sigma^x maps basis index i to 2^N - 1 - i, so U H U = H[::-1, ::-1]
         h = core.build_hamiltonian(params6)
-        u = core.spin_flip_operator(6)
-        assert np.max(np.abs(u @ h - h @ u)) < 1e-12
+        assert np.max(np.abs(h[::-1, ::-1] - h)) < 1e-12
 
     def test_parity_labels_are_eigenvalues(self, ed6):
-        u = core.spin_flip_operator(6)
         for i in range(0, 64, 7):
             v = ed6.eigenvectors[:, i]
-            assert np.linalg.norm(u @ v - ed6.parity[i] * v) < 1e-8
+            assert np.linalg.norm(v[::-1] - ed6.parity[i] * v) < 1e-8
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
