@@ -26,6 +26,7 @@ from .model import (
     NonConvergenceError,
     NonPhysicalRootsError,
     QuantumNumberSet,
+    RootCollisionError,
     RootPattern,
     SingularConfigurationError,
     SolverConfig,
@@ -131,7 +132,7 @@ def solve_newton(initial, params: ModelParams, cfg: SolverConfig = SolverConfig(
                 float("inf"),
             )
         if nr < cfg.tol:
-            _check_collisions(z, cfg.dedupe_tol)
+            _check_collisions(z, cfg.dedupe_tol, float(nr))
             return ZeroPointSet(
                 zeros=canonicalize(z),
                 energy=energy_from_zeros(z, params),
@@ -158,14 +159,15 @@ def solve_newton(initial, params: ModelParams, cfg: SolverConfig = SolverConfig(
     )
 
 
-def _check_collisions(z, tol):
+def _check_collisions(z, tol, residual):
     zc = canonicalize(z)
     n = len(zc)
     for j in range(n):
         for k in range(j + 1, n):
             if abs(zc[j] - zc[k]) < tol:
-                raise ValueError(
-                    f"roots {j} and {k} collided within {tol:g}; solve is invalid"
+                raise RootCollisionError(
+                    f"roots {j} and {k} collided within {tol:g}; solve is invalid",
+                    residual,
                 )
 
 
@@ -249,141 +251,91 @@ def _require_even(n: int):
         raise ValueError("quantum-number conventions are calibrated for even N only")
 
 
-_THETA_SUP = {1: 2 * np.pi / 3, 2: np.pi / 3}
+# Idealized logarithmic system of the centres, by class (0 bulk root,
+# 1 half-line root, 2 string centre): the driving kernel of each class, and
+# the sign and kernel with which a centre of the row class feels one of the
+# column class. int8 keeps the N x N sign and kernel maps small.
+_DRIVE = np.array([1, 2, 1], dtype=np.int8)
+_SIGN = np.array([[1, -1, -1], [1, -1, -1], [1, 1, -1]], dtype=np.int8)
+_KERNEL = np.array([[2, 1, 2], [1, 2, 1], [2, 1, 2]], dtype=np.int8)
 
 
-def _invert_theta(m: int, target: float, cutoff: float = 16.0) -> float:
-    """Solve theta_m(lam) = target on the real line; saturate past the range."""
-    from scipy.optimize import brentq
-
-    sup = _THETA_SUP[m]
-    t = float(np.clip(target, -sup + 1e-9, sup - 1e-9))
-    edge = thermo.theta_m(cutoff, m)
-    if t >= edge:
-        return cutoff
-    if t <= -edge:
-        return -cutoff
-    return brentq(lambda x: thermo.theta_m(x, m) - t, -cutoff, cutoff, xtol=1e-12)
+def _by_kernel(fn, x, m):
+    """Real part of fn(x, m) entrywise, for an array m of kernels 1 and 2."""
+    if np.all(m == m.flat[0]):  # one kernel: no masked copies of x
+        return np.real(fn(x, int(m.flat[0])))
+    out = np.zeros(x.shape)
+    for k in (1, 2):
+        sel = m == k
+        out[sel] = np.real(fn(x[sel], k))
+    return out
 
 
-def _refine_bulk_newton(lam, numbers, n, tol=1e-13, max_iter=60):
-    """Real Newton on the logarithmic system for an all-real pattern.
+def _refine_centres(x, cls, numbers, n, tol=1e-13, max_iter=60):
+    """Real Newton on the idealized logarithmic system of all centres.
 
-    theta_1(lam_j) + (1/N) sum_k theta_2(lam_j - lam_k) = 2 pi I_j / N is the
-    exact system for ground-like states; the Jacobian 2 pi a_m kernels make
-    it strongly diagonally dominant, so this is stable at any N.
+    x holds the starting centres, cls their classes and numbers their
+    quantum numbers n_i, one entry per centre. The system is
+
+    F_i = theta_{d_i}(x_i) + (1/N) sum_{j != i} s_ij theta_{m_ij}(x_i - x_j)
+          - 2 pi n_i / N
+
+    with d, s and m read off the classes of i and j (_DRIVE, _SIGN,
+    _KERNEL). The Jacobian follows from theta_m' = 2 pi a_m; the steps
+    backtrack until the residual norm drops.
     """
-    lam = np.array(lam, dtype=float)
-    i_arr = np.asarray(numbers, dtype=float)
+    drive = _DRIVE[cls]
+    sign = _SIGN[cls[:, None], cls[None, :]]
+    kern = _KERNEL[cls[:, None], cls[None, :]]
 
     def system(x):
         d = x[:, None] - x[None, :]
-        th2 = np.asarray(thermo.theta_m(d + 0j, 2)).real
-        np.fill_diagonal(th2, 0.0)
-        return (
-            np.asarray(thermo.theta_m(x + 0j, 1)).real
-            + th2.sum(axis=1) / n
-            - 2 * np.pi * i_arr / n
-        )
+        th = _by_kernel(thermo.theta_m, d, kern)
+        th *= sign
+        np.fill_diagonal(th, 0.0)
+        return _by_kernel(thermo.theta_m, x, drive) + th.sum(axis=1) / n - 2 * np.pi * numbers / n
 
     for _ in range(max_iter):
-        f = system(lam)
+        f = system(x)
         norm = np.linalg.norm(f)
         if norm < tol:
             break
-        d = lam[:, None] - lam[None, :]
-        a2 = thermo.a_m(d, 2)
-        np.fill_diagonal(a2, 0.0)
-        jac = -2 * np.pi * a2 / n
-        np.fill_diagonal(jac, 2 * np.pi * thermo.a_m(lam, 1) + 2 * np.pi * a2.sum(axis=1) / n)
+        d = x[:, None] - x[None, :]
+        a = _by_kernel(thermo.a_m, d, kern)
+        a *= sign
+        np.fill_diagonal(a, 0.0)
+        jac = -2 * np.pi * a / n
+        np.fill_diagonal(jac, 2 * np.pi * _by_kernel(thermo.a_m, x, drive)
+                         + 2 * np.pi * a.sum(axis=1) / n)
         step = np.linalg.solve(jac, -f)
         scale = 1.0
         for _ in range(30):
-            if np.linalg.norm(system(lam + scale * step)) < norm:
+            if np.linalg.norm(system(x + scale * step)) < norm:
                 break
             scale /= 2
-        lam = lam + scale * step
-    return lam
+        x = x + scale * step
+    return x
 
 
-def _refine_sweeps(lam, alphas, betas, qn: QuantumNumberSet, n: int,
-                   sweeps: int = 80, damp: float = 0.7, step_cap: float = 0.5):
-    """Damped coordinate sweeps of the idealized logarithmic system.
-
-    Bulk roots, half-line centers and string centers each get their own
-    branch equation; steps are capped because the theta inverses are
-    exponentially sensitive near the edges of their ranges.
-    """
-    th = thermo.theta_m
-    i_bulk = np.asarray(qn.bulk, dtype=float)
-    j_half = np.array([e.number for e in qn.excitations if e.kind == "type_I"])
-    k_str = np.array([e.number for e in qn.excitations if e.kind == "type_II"])
-
-    def capped(old, target_m, t):
-        return old + float(np.clip(damp * (_invert_theta(target_m, t) - old), -step_cap, step_cap))
-
-    for _ in range(sweeps):
-        lam_new = lam.copy()
-        for idx in range(len(lam)):
-            t = (
-                2 * np.pi * i_bulk[idx] / n
-                - sum(th(lam[idx] - lk, 2) for lk in lam) / n
-                + sum(th(lam[idx] - a, 1) for a in alphas) / n
-                + sum(th(lam[idx] - b, 2) for b in betas) / n
-            )
-            lam_new[idx] = capped(lam[idx], 1, t)
-        al_new = alphas.copy()
-        for idx in range(len(alphas)):
-            t = (
-                2 * np.pi * j_half[idx] / n
-                - sum(th(alphas[idx] - lk, 1) for lk in lam) / n
-                + sum(th(alphas[idx] - a, 2) for i2, a in enumerate(alphas) if i2 != idx) / n
-                + sum(th(alphas[idx] - b, 1) for b in betas) / n
-            )
-            al_new[idx] = capped(alphas[idx], 2, t)
-        be_new = betas.copy()
-        for idx in range(len(betas)):
-            t = (
-                2 * np.pi * k_str[idx] / n
-                - sum(th(betas[idx] - lk, 2) for lk in lam) / n
-                - sum(th(betas[idx] - a, 1) for a in alphas) / n
-                + sum(th(betas[idx] - b, 2) for i2, b in enumerate(betas) if i2 != idx) / n
-            )
-            be_new[idx] = capped(betas[idx], 1, t)
-        shift = 0.0
-        for old, new in ((lam, lam_new), (alphas, al_new), (betas, be_new)):
-            if len(old):
-                shift = max(shift, float(np.max(np.abs(old - new))))
-        lam, alphas, betas = lam_new, al_new, be_new
-        if shift < 1e-12:
-            break
-    return lam, alphas, betas
-
-
-def seed_from_quantum_numbers(qn: QuantumNumberSet, params: ModelParams,
-                              refine: bool = True) -> ZeroPointSet:
+def seed_from_quantum_numbers(qn: QuantumNumberSet, params: ModelParams) -> ZeroPointSet:
     """Initial zero points for a quantum-number labeling.
 
-    Every number is first placed by the infinite-size counting-function
-    inverse (the decoupled one-root equation saturates for the extremal
-    numbers, the counting inverse does not). With refine=True the idealized
-    coupled system is then solved: exactly, by real Newton, for all-real
-    patterns; by damped sweeps otherwise. String centers are assembled with
-    a small kick off the ideal line.
+    Each bulk number I, half-line number J and string number K starts its
+    centre at the infinite-size counting-function inverse of I/N, J/N or
+    K/N. One real Newton then solves the idealized coupled system of all
+    centres (_refine_centres). Bulk roots go on the line
+    Im z = -pi/6, half-line roots on Im z = -2pi/3, and each string centre
+    becomes a pair nudged _STRING_KICK off the ideal string.
     """
     n = params.n_sites
     if qn.n_roots != n - 1:
         raise ValueError(f"labeling yields {qn.n_roots} roots, need {n - 1}")
-    lam = np.asarray(thermo.counting_inverse(np.asarray(qn.bulk) / n), dtype=float)
-    alphas = np.array([thermo.counting_inverse(e.number / n)
-                       for e in qn.excitations if e.kind == "type_I"])
-    betas = np.array([thermo.counting_inverse(e.number / n)
-                      for e in qn.excitations if e.kind == "type_II"])
-    if refine:
-        if len(alphas) == 0 and len(betas) == 0:
-            lam = _refine_bulk_newton(lam, qn.bulk, n)
-        else:
-            lam, alphas, betas = _refine_sweeps(lam, alphas, betas, qn, n)
+    half = [e.number for e in qn.excitations if e.kind == "type_I"]
+    strings = [e.number for e in qn.excitations if e.kind == "type_II"]
+    numbers = np.array(list(qn.bulk) + half + strings, dtype=float)
+    cls = np.repeat([0, 1, 2], [len(qn.bulk), len(half), len(strings)])
+    x = _refine_centres(thermo.counting_inverse(numbers / n), cls, numbers, n)
+    lam, alphas, betas = np.split(x, np.cumsum([len(qn.bulk), len(half)]))
     zs = list(lam - 1j * np.pi / 6)
     zs += list(alphas - 2j * np.pi / 3)
     for b in betas:

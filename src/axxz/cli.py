@@ -9,9 +9,10 @@ Subcommands
     table1   re-converge the bundled N = 6 reference table against ED
 
 Exit codes: 0 success, 2 invalid input or failed validation, 3 solver
-non-convergence, 4 I/O failure. All numbers are emitted with full float
-precision (repr), so both the CSV and JSON forms round-trip exactly; JSON
-encodes a complex value as {"re": x, "im": y}.
+non-convergence or a root collision after convergence, 4 I/O failure. All
+numbers are emitted with full float precision (repr), so both the CSV and
+JSON forms round-trip exactly; JSON encodes a complex value as
+{"re": x, "im": y}.
 """
 from __future__ import annotations
 
@@ -98,7 +99,7 @@ def _quantum_numbers(cfg: argparse.Namespace):
 def run_bae(cfg: argparse.Namespace):
     params = ModelParams(n_sites=cfg.n)
     qn = _quantum_numbers(cfg)
-    scfg = SolverConfig(tol=cfg.tol) if cfg.tol else SolverConfig()
+    scfg = SolverConfig(tol=cfg.tol) if cfg.tol is not None else SolverConfig()
     zps = bae.solve_newton(bae.seed_from_quantum_numbers(qn, params), params, scfg)
     pattern = bae.classify_roots(zps, tol=0.1)
     lams = zps.shifted
@@ -130,6 +131,9 @@ def run_verify(cfg: argparse.Namespace):
     n = cfg.n if cfg.n is not None else 4
     if n > 8:
         raise ValueError("verify is limited to n <= 8 (dense transfer matrices)")
+    for flag in ("levels", "samples"):
+        if getattr(cfg, flag) < 1:
+            raise ValueError(f"--{flag} must be at least 1")
     rng = np.random.default_rng(cfg.seed)
     thetas = tuple(rng.uniform(-0.1, 0.1, n)) if cfg.seed is not None else None
     params = ModelParams(n_sites=n, thetas=thetas)

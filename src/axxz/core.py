@@ -196,12 +196,14 @@ def transfer_eigenbasis(params: ModelParams, probe: complex = U_PROBE):
     return vals[order], vecs[:, order]
 
 
-def transfer_eigenvalue_on_state(u: complex, params: ModelParams, state: np.ndarray,
-                                 probe: complex = U_PROBE, tol: float = 1e-8) -> complex:
-    """Lambda(u) = <state|t(u)|state> / <state|state>.
+def transfer_eigenvalue_on_state(u, params: ModelParams, state: np.ndarray,
+                                 probe: complex = U_PROBE, tol: float = 1e-8):
+    """Lambda(u) = <state|t(u)|state> / <state|state>, for one u or an array.
 
     The state must already be an eigenvector of t(probe); a Rayleigh
-    quotient on a non-eigenstate would silently average eigenvalues.
+    quotient on a non-eigenstate would silently average eigenvalues. The
+    probe is built and checked once per call, so pass a whole grid of u at
+    once; an array of u gives an array of eigenvalues.
     """
     state = np.asarray(state, dtype=complex)
     tp = build_transfer_matrix(probe, params)
@@ -212,8 +214,9 @@ def transfer_eigenvalue_on_state(u: complex, params: ModelParams, state: np.ndar
         raise DegeneracyResolutionError(
             "state is not an eigenvector of the probe transfer matrix"
         )
-    t = build_transfer_matrix(u, params)
-    return complex(np.vdot(state, t @ state) / nrm2)
+    vals = [complex(np.vdot(state, build_transfer_matrix(x, params) @ state) / nrm2)
+            for x in np.atleast_1d(u)]
+    return np.array(vals) if np.ndim(u) else vals[0]
 
 
 def hamiltonian_from_transfer(params: ModelParams, h_step: float = 1e-5) -> np.ndarray:

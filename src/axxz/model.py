@@ -46,6 +46,10 @@ class NonConvergenceError(RuntimeError):
         self.residual = residual
 
 
+class RootCollisionError(NonConvergenceError, ValueError):
+    """Two roots of a converged set coincide, so the solve is invalid."""
+
+
 class NonPhysicalRootsError(ValueError):
     """Energy came out with an imaginary part above threshold."""
 

@@ -106,9 +106,7 @@ def spectral_function_from_state(state: np.ndarray, params: ModelParams,
     """
     n = params.n_sites
     us = np.array([1j * np.pi * k / (2 * n) for k in range(n)])
-    samples = np.array([
-        transfer_eigenvalue_on_state(u, params, state, probe=probe) for u in us
-    ])
+    samples = transfer_eigenvalue_on_state(us, params, state, probe=probe)
     xs = np.exp(2 * us)
     g = samples * np.exp((n - 1) * us)
     coeff = np.linalg.solve(np.vander(xs, n, increasing=True), g)
@@ -134,9 +132,7 @@ def functional_form_check(state: np.ndarray, params: ModelParams,
     n = params.n_sites
     grid = 4 * n
     phis = 2 * np.pi * np.arange(grid) / grid
-    samples = np.array([
-        transfer_eigenvalue_on_state(1j * p, params, state, probe=probe) for p in phis
-    ])
+    samples = transfer_eigenvalue_on_state(1j * phis, params, state, probe=probe)
     spec = np.fft.fft(samples)
     allowed = np.zeros(grid, dtype=bool)
     for m in range(n):

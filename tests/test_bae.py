@@ -4,17 +4,24 @@ The decisive oracle is exact diagonalization: solved energies have to land
 on ED levels. Everything else (residual reduction, branch invariance,
 classification) supports that comparison.
 """
+import functools
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from axxz import bae
+from axxz import bae, core
 from axxz.model import (
     ModelParams,
+    NonConvergenceError,
     NonPhysicalRootsError,
+    RootCollisionError,
     SolverConfig,
     ZeroPointSet,
 )
@@ -88,6 +95,13 @@ class TestNewton:
         with pytest.raises(ValueError):
             bae.solve_newton(zps, params4, cfg)
 
+    def test_root_collision_is_a_solver_failure(self, params4):
+        zps, _ = ground_solution(4)
+        with pytest.raises(RootCollisionError, match="collided") as exc:
+            bae.solve_newton(zps, params4, SolverConfig(dedupe_tol=10.0))
+        assert isinstance(exc.value, NonConvergenceError)
+        assert exc.value.residual < 1e-12
+
 
 class TestEnergy:
     def test_ground_energy_matches_ed(self, ed6):
@@ -147,6 +161,51 @@ class TestSpectrumCoverage:
         assert report["unmatched_bae"] == [1]
         assert set(report["unmatched_ed"]) == {0, 2}
         assert report["max_pair_deviation"] < 1e-9
+
+
+@functools.lru_cache(maxsize=None)
+def _ed_levels(n):
+    return np.linalg.eigvalsh(core.build_hamiltonian(ModelParams(n_sites=n)))
+
+
+def _solve(qn, n):
+    params = ModelParams(n_sites=n)
+    return bae.solve_from_quantum_numbers(qn, params), params
+
+
+class TestSeeding:
+    """The one real Newton on the idealized system seeds every labeling."""
+
+    @pytest.mark.parametrize("n,j", [(n, j) for n in (8, 10) for j in range(-n // 2 + 1, n // 2)])
+    def test_type_one_matches_ed(self, n, j):
+        zps, _ = _solve(bae.type_one_numbers(n, j), n)
+        assert np.min(np.abs(_ed_levels(n) - zps.energy)) < 1e-8
+        assert bae.classify_roots(zps, tol=0.1).name == "type_I"
+
+    @pytest.mark.parametrize("position", [1, 6])
+    def test_type_two_matches_ed(self, position):
+        zps, _ = _solve(bae.type_two_numbers(8, position), 8)
+        assert np.min(np.abs(_ed_levels(8) - zps.energy)) < 1e-8
+        assert bae.classify_roots(zps, tol=0.1).name == "type_II"
+
+    @pytest.mark.parametrize("j", [0, 17])
+    def test_type_one_large_n(self, j):
+        zps, params = _solve(bae.type_one_numbers(64, j), 64)
+        assert np.max(np.abs(bae.bae_residual(zps, params))) < 1e-10
+        assert len(bae.classify_roots(zps, tol=0.1).half_line) == 1
+
+    def test_ground_scaling_script_runs(self):
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (str(root / "src"), os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "ground_energy_scaling.py"), "--nmax", "32"],
+            capture_output=True, text=True, timeout=120, check=False, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        sizes = [int(line.split()[0]) for line in proc.stdout.splitlines()
+                 if line.split() and line.split()[0].isdigit()]
+        assert sizes == [8, 16, 32]
 
 
 class TestClassification:

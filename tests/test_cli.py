@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import axxz
+from axxz import cli
 from axxz.cli import main
+from axxz.model import SolverConfig
 
 
 def run(capsys, *argv):
@@ -76,6 +78,16 @@ class TestBae:
         code, _, _ = run(capsys, "bae", "--n", "5")
         assert code == 2
 
+    def test_zero_tol_rejected(self, capsys):
+        code, _, err = run(capsys, "bae", "--n", "6", "--tol", "0")
+        assert code == 2 and "tol" in err
+
+    def test_collision_is_solver_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "SolverConfig",
+                            lambda **kw: SolverConfig(dedupe_tol=10.0, **kw))
+        code, _, err = run(capsys, "bae", "--n", "6")
+        assert code == 3 and "collided" in err
+
 
 class TestVerify:
     def test_homogeneous_all_ok(self, capsys):
@@ -97,6 +109,11 @@ class TestVerify:
     def test_size_cap(self, capsys):
         code, _, _ = run(capsys, "verify", "--n", "10")
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--levels", "--samples"])
+    def test_zero_count_rejected(self, capsys, flag):
+        code, out, err = run(capsys, "verify", "--n", "4", flag, "0")
+        assert code == 2 and flag in err and out == ""
 
 
 class TestThermo:

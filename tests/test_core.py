@@ -170,6 +170,14 @@ class TestEigenstates:
         lam = core.transfer_eigenvalue_on_state(u, params6, v)
         assert np.linalg.norm(t @ v - lam * v) < 1e-9 * np.linalg.norm(t @ v)
 
+    def test_grid_of_u_matches_scalar_calls(self, params6, joint6):
+        _, vecs = joint6
+        us = np.array([0.17, 0.3 - 0.22j, 0.05 + 0.4j])
+        got = core.transfer_eigenvalue_on_state(us, params6, vecs[:, 3])
+        assert got.shape == us.shape
+        for u, lam in zip(us, got):
+            assert lam == core.transfer_eigenvalue_on_state(u, params6, vecs[:, 3])
+
     def test_mixed_state_rejected(self, params6, joint6):
         _, vecs = joint6
         mixed = vecs[:, 0] + vecs[:, 5]
