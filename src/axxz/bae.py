@@ -19,7 +19,6 @@ import numpy as np
 from . import thermo
 from .model import (
     COSH_ETA,
-    ETA,
     SINH_ETA,
     Excitation,
     ModelParams,
@@ -35,6 +34,7 @@ from .model import (
 )
 
 _POLE_TOL = 1e-14
+_I_SQ3 = 1j * np.sqrt(3.0)  # tanh(eta)
 _STRING_KICK = 0.045  # nudge string seeds off the exact line, where the
                       # Jacobian of an ideal string is singular
 
@@ -53,52 +53,48 @@ def _zeros_of(zeros) -> np.ndarray:
     return np.asarray(zeros, dtype=complex)
 
 
+def _tanh_matrices(zeros, params: ModelParams):
+    """t = tanh(z_j - theta_l) and tanh(z_j - z_k), refused on a pole of the equations."""
+    z = _zeros_of(zeros)
+    t_th, t_zz = np.tanh(z[:, None] - params.theta_array), np.tanh(z[:, None] - z)
+    dist = np.hstack([abs(t_th), abs(t_th + _I_SQ3), abs(t_zz - _I_SQ3), abs(t_zz + _I_SQ3)])
+    rows = np.flatnonzero((dist < _POLE_TOL).any(axis=1))
+    if rows.size:
+        raise SingularConfigurationError(f"root {rows[0]} sits on a pole of the equations")
+    return t_th, t_zz
+
+
+def _log(w):
+    """Principal log; log|w| + i angle(w) beats np.log on large complex arrays."""
+    return np.log(np.abs(w)) + 1j * np.angle(w)
+
+
 def bae_residual(zeros, params: ModelParams) -> np.ndarray:
     """Per-root logarithmic residual of the zero-point equations.
 
     Entry j is log(LHS_j) - log(RHS_j) with the principal branch, shifted by
     the integer multiple of 2 pi i that brings it into (-pi, pi]. A residual
-    near zero for every j certifies a solution on a consistent branch.
+    near zero for every j certifies a solution on a consistent branch. Each
+    factor is rational in a tanh: sinh(x)/sinh(x - 2 eta) = -2t/(t + i sqrt3)
+    at t = tanh(z_j - theta_l), and sinh(d + eta)/sinh(d - eta) =
+    (t + i sqrt3)/(t - i sqrt3) at t = tanh(z_j - z_k).
     """
-    z = _zeros_of(zeros)
-    th = params.theta_array
-    n = len(z)
-    out = np.zeros(n, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(n):
-            num = np.sinh(z[j] - th)
-            den = np.sinh(z[j] - th - 2 * ETA)
-            others = np.delete(z, j)
-            rnum = np.sinh(z[j] - others + ETA)
-            rden = np.sinh(z[j] - others - ETA)
-            for fac in (num, den, rnum, rden):
-                if fac.size and np.min(np.abs(fac)) < _POLE_TOL:
-                    raise SingularConfigurationError(
-                        f"root {j} sits on a pole of the equations"
-                    )
-            d = np.sum(np.log(num) - np.log(den)) - np.sum(np.log(rnum) - np.log(rden))
-            if np.isfinite(d):
-                d -= 2j * np.pi * np.round(d.imag / (2 * np.pi))
-            out[j] = d
-    return out
+    t_th, t_zz = _tanh_matrices(zeros, params)
+    pair = _log((t_zz + _I_SQ3) / (t_zz - _I_SQ3))
+    np.fill_diagonal(pair, 0.0)
+    d = _log(-2 * t_th / (t_th + _I_SQ3)).sum(axis=1) - pair.sum(axis=1)
+    return d - 2j * np.pi * np.round(d.imag / (2 * np.pi))
 
 
 def bae_jacobian(zeros, params: ModelParams) -> np.ndarray:
-    """Analytic Jacobian of bae_residual (coth derivatives of the logs)."""
-    z = _zeros_of(zeros)
-    th = params.theta_array
-    n = len(z)
-    jac = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        diag = np.sum(1 / np.tanh(z[j] - th) - 1 / np.tanh(z[j] - th - 2 * ETA))
-        for k in range(n):
-            if k == j:
-                continue
-            cp = 1 / np.tanh(z[j] - z[k] + ETA)
-            cm = 1 / np.tanh(z[j] - z[k] - ETA)
-            jac[j, k] = cp - cm
-            diag -= cp - cm
-        jac[j, j] = diag
+    """Analytic Jacobian of bae_residual, from d/dx log f(tanh x) = (1 - t^2) f'(t)/f(t)
+    on each factor; the diagonal also subtracts the pair entries of its row.
+    Each f'/f is one fraction, so no two near-equal terms cancel at large |t|."""
+    t_th, t_zz = _tanh_matrices(zeros, params)
+    jac = (1 - t_zz**2) * (-2 * _I_SQ3) / (t_zz**2 + 3)
+    np.fill_diagonal(jac, 0.0)
+    diag = ((1 - t_th**2) * _I_SQ3 / (t_th * (t_th + _I_SQ3))).sum(axis=1) - jac.sum(axis=1)
+    np.fill_diagonal(jac, diag)
     return jac
 
 
@@ -118,7 +114,10 @@ def solve_newton(initial, params: ModelParams, cfg: SolverConfig = SolverConfig(
 
     Full analytic Jacobian, backtracking line search that halves the step
     until the residual norm drops. Near a solution convergence is quadratic;
-    a converged input returns in zero iterations.
+    a converged input returns in zero iterations. It stops when the residual
+    2-norm is below cfg.tol or its max-norm is at most 32*eps*N: ground seeds
+    already sit at 3.5e-13, 9.1e-13 and 1.8e-12 (6-8 eps*N) at N = 256, 512
+    and 1024, out of reach of a fixed tol on the 2-norm of N-1 entries.
     """
     z = canonicalize(_zeros_of(initial))
     qn = initial.quantum_numbers if isinstance(initial, ZeroPointSet) else None
@@ -131,7 +130,7 @@ def solve_newton(initial, params: ModelParams, cfg: SolverConfig = SolverConfig(
                 f"residual overflowed after {it} iterations; seed is unusable",
                 float("inf"),
             )
-        if nr < cfg.tol:
+        if nr < cfg.tol or np.max(np.abs(r)) <= 32 * np.finfo(float).eps * params.n_sites:
             _check_collisions(z, cfg.dedupe_tol, float(nr))
             return ZeroPointSet(
                 zeros=canonicalize(z),
@@ -161,14 +160,12 @@ def solve_newton(initial, params: ModelParams, cfg: SolverConfig = SolverConfig(
 
 def _check_collisions(z, tol, residual):
     zc = canonicalize(z)
-    n = len(zc)
-    for j in range(n):
-        for k in range(j + 1, n):
-            if abs(zc[j] - zc[k]) < tol:
-                raise RootCollisionError(
-                    f"roots {j} and {k} collided within {tol:g}; solve is invalid",
-                    residual,
-                )
+    close = np.triu(np.abs(zc[:, None] - zc) < tol, 1)
+    if close.any():
+        j, k = divmod(int(np.argmax(close)), len(zc))  # first pair, row-major
+        raise RootCollisionError(
+            f"roots {j} and {k} collided within {tol:g}; solve is invalid", residual
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ class DegeneracyResolutionError(RuntimeError):
 
 
 class SingularConfigurationError(ValueError):
-    """A root sits on a pole of the equations (some |sinh| < 1e-14)."""
+    """A root sits on a pole of the equations (a factor vanishes to 1e-14)."""
 
 
 class NonConvergenceError(RuntimeError):

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
+from scipy.linalg import toeplitz
 
 from .model import (
     ConsistencyError,
@@ -36,16 +36,16 @@ E_GROUND_DENSITY = (3 - 3 * SQ3) / 2
 def theta_m(lam, m: int):
     """Odd continuous branch of -i*ln[sinh(i*m*pi/6 - lam)/sinh(i*m*pi/6 + lam)].
 
-    For m in {1, 2, 4} the principal logarithm is already continuous and odd
-    on the real line, with ranges (-2pi/3, 2pi/3), (-pi/3, pi/3) and the
-    negative of the m=2 branch respectively.
+    For m in {1, 2, 4} and real lam the principal logarithm is already
+    continuous and odd, with ranges (-2pi/3, 2pi/3), (-pi/3, pi/3) and the
+    negative of the m=2 branch respectively, and equals
+    2*atan(tanh(lam)/tan(m*pi/6)), which is what is evaluated.
     """
     if m not in (1, 2, 4):
         raise ValueError("theta_m is defined for m in {1, 2, 4}")
-    lam = np.asarray(lam, dtype=complex)
-    val = -1j * np.log(np.sinh(1j * m * np.pi / 6 - lam) / np.sinh(1j * m * np.pi / 6 + lam))
-    out = val.real if np.max(np.abs(np.atleast_1d(val).imag)) < 1e-9 else val
-    return out if np.ndim(out) else float(np.real(out))
+    lam = np.asarray(lam, dtype=float)
+    out = 2 * np.arctan(np.tanh(lam) / math.tan(m * np.pi / 6))
+    return out if out.ndim else float(out)
 
 
 def a_m(lam, m: int):
@@ -280,7 +280,8 @@ def solve_density_equation(inhomogeneity, lo: float = -20.0, hi: float = 20.0,
     h = grid[1] - grid[0]
     wts = np.full(n_points, h)
     wts[0] = wts[-1] = h / 2
-    kernel = a_m(grid[:, None] - grid[None, :], 2) * wts[None, :]
+    kernel = toeplitz(a_m(grid - grid[0], 2))  # a_2 is even: entry i, j is a_2(|i - j| h)
+    kernel *= wts
     g = np.asarray(inhomogeneity(grid), dtype=float)
     f = g.copy()
     for _ in range(max_sweeps):

@@ -16,12 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from axxz import bae, core
+from axxz import bae, core, thermo
 from axxz.model import (
+    ETA,
     ModelParams,
     NonConvergenceError,
     NonPhysicalRootsError,
     RootCollisionError,
+    SingularConfigurationError,
     SolverConfig,
     ZeroPointSet,
 )
@@ -32,6 +34,78 @@ def ground_solution(n):
     return bae.solve_newton(
         bae.seed_from_quantum_numbers(bae.ground_numbers(n), params), params
     ), params
+
+
+def _residual_loop(z, params):
+    """The residual from its definition, one root at a time through sinh
+    factors and complex logs: the oracle for the tanh form in bae."""
+    th = params.theta_array
+    out = np.zeros(len(z), dtype=complex)
+    for j in range(len(z)):
+        others = np.delete(z, j)
+        d = (np.sum(np.log(np.sinh(z[j] - th)) - np.log(np.sinh(z[j] - th - 2 * ETA)))
+             - np.sum(np.log(np.sinh(z[j] - others + ETA)) - np.log(np.sinh(z[j] - others - ETA))))
+        out[j] = d - 2j * np.pi * np.round(d.imag / (2 * np.pi))
+    return out
+
+
+def _jacobian_loop(z, params):
+    """The Jacobian from its definition, entry by entry through coth."""
+    th = params.theta_array
+    n = len(z)
+    jac = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        diag = np.sum(1 / np.tanh(z[j] - th) - 1 / np.tanh(z[j] - th - 2 * ETA))
+        for k in range(n):
+            if k != j:
+                jac[j, k] = 1 / np.tanh(z[j] - z[k] + ETA) - 1 / np.tanh(z[j] - z[k] - ETA)
+                diag -= jac[j, k]
+        jac[j, j] = diag
+    return jac
+
+
+def _random_system(n, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(-1.5, 1.5, n - 1) + 1j * rng.uniform(-np.pi / 2, np.pi / 2, n - 1)
+    return z, ModelParams(n_sites=n, thetas=tuple(rng.uniform(-0.5, 0.5, n)))
+
+
+class TestTanhForm:
+    """bae_residual and bae_jacobian against their sinh/coth definitions."""
+
+    @pytest.mark.parametrize("n", range(4, 17))
+    def test_residual_matches_loop_definition(self, n):
+        z, params = _random_system(n, n)
+        d = bae.bae_residual(z, params) - _residual_loop(z, params)
+        d -= 2j * np.pi * np.round(d.imag / (2 * np.pi))  # a sum at +-pi may land on either side
+        assert np.max(np.abs(d)) < 1e-12
+
+    @pytest.mark.parametrize("n", range(4, 17))
+    def test_jacobian_matches_loop_definition(self, n):
+        z, params = _random_system(n, 100 + n)
+        ref = _jacobian_loop(z, params)
+        assert np.max(np.abs(bae.bae_jacobian(z, params) - ref)) < 1e-12 * np.max(np.abs(ref))
+
+    def test_jacobian_accurate_at_large_tanh(self):
+        # z_j - theta_l and z_j - z_k near i pi/2 give |t| ~ 1e7; a difference
+        # of two ~1/t terms would lose about seven digits there
+        z, params = _random_system(8, 11)
+        z[2] = params.thetas[5] + 0.5j * np.pi + 1e-7
+        z[4] = z[1] + 0.5j * np.pi + 1e-7
+        ref = _jacobian_loop(z, params)
+        assert np.max(np.abs(bae.bae_jacobian(z, params) - ref)) < 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("fn", [bae.bae_residual, bae.bae_jacobian])
+    def test_pole_raises(self, fn):
+        z, params = _random_system(8, 3)
+        on_theta = z.copy()
+        on_theta[2] = params.thetas[5]
+        with pytest.raises(SingularConfigurationError, match="root 2 sits on a pole"):
+            fn(on_theta, params)
+        on_pair = z.copy()
+        on_pair[4] = on_pair[1] + ETA
+        with pytest.raises(SingularConfigurationError, match="root 1 sits on a pole"):
+            fn(on_pair, params)
 
 
 class TestResidual:
@@ -101,6 +175,26 @@ class TestNewton:
             bae.solve_newton(zps, params4, SolverConfig(dedupe_tol=10.0))
         assert isinstance(exc.value, NonConvergenceError)
         assert exc.value.residual < 1e-12
+
+
+    @pytest.mark.parametrize("n", [256, 512, 1024])
+    def test_ground_converges_at_large_n(self, n):
+        zps, params = ground_solution(n)
+        assert zps.iterations <= 1
+        assert np.max(np.abs(bae.bae_residual(zps, params))) <= 32 * np.finfo(float).eps * n
+        assert abs(zps.energy / n - thermo.ground_energy_density()) < 1 / n**2
+        lam = zps.shifted
+        assert np.max(np.abs(lam.imag)) < 1e-8
+        assert np.all(np.diff(lam.real) > 0)
+
+    def test_collision_names_first_pair(self):
+        z = np.array([0.5, 1.0, 0.3, 1.0 + 1e-9, 0.3 + 2e-9j, 2.0, 2.0])
+        first = next((j, k) for j in range(len(z)) for k in range(j + 1, len(z))
+                     if abs(z[j] - z[k]) < 1e-8)
+        with pytest.raises(RootCollisionError, match="roots 1 and 3 collided") as exc:
+            bae._check_collisions(z, 1e-8, 2.5e-13)
+        assert first == (1, 3)
+        assert exc.value.residual == 2.5e-13
 
 
 class TestEnergy:

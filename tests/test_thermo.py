@@ -31,6 +31,19 @@ class TestKernels:
             assert np.max(np.abs(t + t[::-1])) < 1e-12  # odd
             assert np.max(np.abs(np.diff(t))) < 0.2  # no branch jumps
 
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_real_theta_matches_complex_definition(self, m):
+        def definition(lam):
+            a = 1j * m * np.pi / 6
+            return (-1j * np.log(np.sinh(a - lam) / np.sinh(a + lam))).real
+
+        lam = np.linspace(-30, 30, 2001)
+        assert np.max(np.abs(thermo.theta_m(lam, m) - definition(lam))) < 4e-15
+        for x in (-2.5, 0.0, 0.7, 3):
+            val = thermo.theta_m(x, m)
+            assert type(val) is float
+            assert abs(val - definition(x)) < 4e-15
+
     def test_theta_rejects_bad_index(self):
         with pytest.raises(ValueError):
             thermo.theta_m(0.3, 3)
@@ -71,6 +84,25 @@ class TestDensities:
     def test_bulk_density_solves_integral_equation(self):
         grid, f = thermo.solve_density_equation(lambda x: thermo.a_m(x, 1))
         assert np.max(np.abs(f - thermo.rho_bulk(grid))) < 1e-8
+
+    def test_toeplitz_kernel_matches_dense(self):
+        def source(x):
+            return thermo.a_m(x, 1)
+
+        grid, f = thermo.solve_density_equation(source, n_points=801)
+        h = grid[1] - grid[0]
+        wts = np.full(len(grid), h)
+        wts[0] = wts[-1] = h / 2
+        kernel = thermo.a_m(grid[:, None] - grid[None, :], 2) * wts[None, :]
+        g = source(grid)
+        ref = g.copy()
+        for _ in range(500):
+            new = g + kernel @ ref
+            delta = np.max(np.abs(new - ref))
+            ref = new
+            if delta < 1e-13:
+                break
+        assert np.max(np.abs(f - ref)) < 1e-14
 
     def test_bulk_density_normalized(self):
         val, _ = quad(thermo.rho_bulk, -40, 40, limit=200)
