@@ -14,6 +14,10 @@ from axxz.cli import main
 from axxz.model import SolverConfig
 
 
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text())
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -233,3 +237,17 @@ class TestOutput:
         _, out, _ = run(capsys, "bae", "--n", "6", "--format", "json")
         doc = json.loads(out)
         assert json.loads(json.dumps(doc)) == doc
+
+
+class TestGolden:
+    """Every subcommand at small N, both formats and the error paths, against
+    stdout, stderr and exit code recorded before the output path was unified."""
+
+    @pytest.mark.parametrize("case", GOLDEN_CASES, ids=[c["name"] for c in GOLDEN_CASES])
+    def test_output_bytes(self, capsys, monkeypatch, case):
+        monkeypatch.chdir(GOLDEN)  # fixture paths in argv and stderr are relative
+        code = main(case["argv"])
+        out = capsys.readouterr()
+        assert code == case["exit"]
+        assert out.out.encode() == (GOLDEN / f"{case['name']}.out").read_bytes()
+        assert out.err == case["stderr"]
