@@ -121,9 +121,10 @@ def solve_newton(initial, params: ModelParams, cfg: SolverConfig = SolverConfig(
     """
     z = canonicalize(_zeros_of(initial))
     qn = initial.quantum_numbers if isinstance(initial, ZeroPointSet) else None
-    nr = None
+    r = None  # residual at z, carried over from an accepted line-search trial
     for it in range(cfg.max_iter):
-        r = bae_residual(z, params)
+        if r is None:
+            r = bae_residual(z, params)
         nr = np.linalg.norm(r)
         if not np.isfinite(nr):
             raise NonConvergenceError(
@@ -145,12 +146,14 @@ def solve_newton(initial, params: ModelParams, cfg: SolverConfig = SolverConfig(
             raise NonConvergenceError(
                 f"singular Jacobian after {it} iterations; re-seed", float(nr)
             ) from exc
-        scale = cfg.damping
+        scale = 1.0
         for _ in range(40):
-            trial = z + scale * step
-            if np.linalg.norm(bae_residual(trial, params)) < nr:
+            r = bae_residual(z + scale * step, params)
+            if np.linalg.norm(r) < nr:
                 break
             scale /= 2
+        else:  # every halving refused: the step taken below was never tried
+            r = None
         z = z + scale * step
     raise NonConvergenceError(
         f"no convergence in {cfg.max_iter} iterations (residual {nr:.3e})",

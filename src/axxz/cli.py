@@ -8,11 +8,17 @@ Subcommands
     scatter  two-body scattering amplitudes
     table1   re-converge the bundled N = 6 reference table against ED
 
-Exit codes: 0 success, 2 invalid input or failed validation, 3 solver
-non-convergence or a root collision after convergence, 4 I/O failure. All
-numbers are emitted with full float precision (repr), so both the CSV and
-JSON forms round-trip exactly; JSON encodes a complex value as
-{"re": x, "im": y}.
+Each subcommand returns (exit code, document, rows); main renders them in
+one place, to stdout or --out. JSON is the document, indented by one space
+when it holds an array and on one line otherwise; a complex value is
+{"re": x, "im": y}. CSV is the rows joined by commas, a float cell as repr
+(so both forms round-trip exactly), None as an empty cell, anything else as
+str. A result with no document (a corrupted table1 fixture) is written as
+rows in both formats.
+
+Exit codes: 0 success, 2 invalid input (thermo --n below 2 and table1 --tol
+not positive included) or failed validation, 3 solver non-convergence or a
+root collision after convergence, 4 I/O failure.
 """
 from __future__ import annotations
 
@@ -45,20 +51,21 @@ _PROCESSES = ("I_I", "II_II", "I_II")
 _PATTERNS = ("ground", "type_I", "type_II")
 
 
-def _fnum(x) -> str:
-    return repr(float(x))
-
-
 def _cnum(z: complex) -> dict:
     return {"re": float(z.real), "im": float(z.imag)}
 
 
-def _emit(text: str, out: str | None):
-    if out is None:
-        print(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+def _cell(x) -> str:
+    if isinstance(x, float):
+        return repr(float(x))
+    return "" if x is None else str(x)
+
+
+def _render(fmt: str, doc: dict | None, rows) -> str:
+    if fmt == "json" and doc is not None:
+        nested = any(isinstance(v, list) for v in doc.values())
+        return json.dumps(doc, indent=1 if nested else None)
+    return "\n".join(",".join(_cell(c) for c in row) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -68,18 +75,10 @@ def _emit(text: str, out: str | None):
 def run_ed(cfg: argparse.Namespace):
     params = ModelParams(n_sites=cfg.n)
     res = diagonalize_symmetric(build_hamiltonian(params))
-    rows = []
-    for i, e in enumerate(res.eigenvalues):
-        p = int(res.parity[i]) if res.parity is not None else None
-        rows.append({"level": i + 1, "energy": float(e), "parity": p})
-    if cfg.fmt == "json":
-        text = json.dumps({"n": cfg.n, "levels": rows}, indent=1)
-    else:
-        text = "\n".join(
-            f"{r['level']},{_fnum(r['energy'])},{'' if r['parity'] is None else r['parity']}"
-            for r in rows
-        )
-    return 0, text
+    parity = [None] * len(res.eigenvalues) if res.parity is None else res.parity.tolist()
+    levels = [{"level": i + 1, "energy": float(e), "parity": p}
+              for i, (e, p) in enumerate(zip(res.eigenvalues, parity))]
+    return 0, {"n": cfg.n, "levels": levels}, [list(r.values()) for r in levels]
 
 
 def _quantum_numbers(cfg: argparse.Namespace):
@@ -103,32 +102,24 @@ def run_bae(cfg: argparse.Namespace):
     zps = bae.solve_newton(bae.seed_from_quantum_numbers(qn, params), params, scfg)
     pattern = bae.classify_roots(zps, tol=0.1)
     lams = zps.shifted
-    if cfg.fmt == "json":
-        text = json.dumps({
-            "n": cfg.n,
-            "pattern": cfg.pattern,
-            "zeros": [_cnum(z) for z in zps.zeros],
-            "lambdas": [_cnum(x) for x in lams],
-            "energy": zps.energy,
-            "iterations": zps.iterations,
-            "residual": zps.residual,
-            "classified": pattern.name,
-        }, indent=1)
-    else:
-        lines = [
-            f"root,{j},{_fnum(z.real)},{_fnum(z.imag)},{_fnum(x.real)},{_fnum(x.imag)}"
-            for j, (z, x) in enumerate(zip(zps.zeros, lams))
-        ]
-        lines.append(f"energy,{_fnum(zps.energy)}")
-        lines.append(f"iterations,{zps.iterations}")
-        lines.append(f"residual,{_fnum(zps.residual)}")
-        lines.append(f"classified,{pattern.name}")
-        text = "\n".join(lines)
-    return 0, text
+    doc = {
+        "n": cfg.n,
+        "pattern": cfg.pattern,
+        "zeros": [_cnum(z) for z in zps.zeros],
+        "lambdas": [_cnum(x) for x in lams],
+        "energy": zps.energy,
+        "iterations": zps.iterations,
+        "residual": zps.residual,
+        "classified": pattern.name,
+    }
+    rows = [("root", j, z.real, z.imag, x.real, x.imag)
+            for j, (z, x) in enumerate(zip(zps.zeros, lams))]
+    rows += [(key, doc[key]) for key in ("energy", "iterations", "residual", "classified")]
+    return 0, doc, rows
 
 
 def run_verify(cfg: argparse.Namespace):
-    n = cfg.n if cfg.n is not None else 4
+    n = cfg.n
     if n > 8:
         raise ValueError("verify is limited to n <= 8 (dense transfer matrices)")
     for flag in ("levels", "samples"):
@@ -176,8 +167,6 @@ def run_verify(cfg: argparse.Namespace):
         add("hamiltonian_from_transfer",
             np.linalg.norm(hamiltonian_from_transfer(params) - h) / np.linalg.norm(h),
             1e-6)
-
-    if thetas is None:
         vals, vecs = joint_eigenstates(params)
     else:
         vals, vecs = transfer_eigenbasis(params)
@@ -195,20 +184,11 @@ def run_verify(cfg: argparse.Namespace):
     add("fourier_band", band, 1e-8)
 
     ok = all(c["ok"] for c in checks)
-    if cfg.fmt == "json":
-        text = json.dumps({"n": n, "seed": cfg.seed, "levels": [int(i) for i in idx],
-                           "checks": checks, "ok": ok}, indent=1)
-    else:
-        lines = []
-        if cfg.seed is not None:
-            lines.append(f"seed,{cfg.seed}")
-        lines += [
-            f"check,{c['name']},{_fnum(c['value'])},{c['threshold']:g},"
-            f"{'ok' if c['ok'] else 'FAIL'}"
-            for c in checks
-        ]
-        text = "\n".join(lines)
-    return (0 if ok else 2), text
+    doc = {"n": n, "seed": cfg.seed, "levels": [int(i) for i in idx], "checks": checks, "ok": ok}
+    rows = [("seed", cfg.seed)] if cfg.seed is not None else []
+    rows += [("check", c["name"], c["value"], c["threshold"], "ok" if c["ok"] else "FAIL")
+             for c in checks]
+    return (0 if ok else 2), doc, rows
 
 
 _GRID = np.linspace(-5.0, 5.0, 201)
@@ -216,55 +196,44 @@ _GRID = np.linspace(-5.0, 5.0, 201)
 
 def run_thermo(cfg: argparse.Namespace):
     q = cfg.quantity
-    if q == "eg":
-        return 0, _scalar_out(cfg, {"quantity": q}, thermo.ground_energy_density())
-    if q in ("de1", "de2"):
-        kind = "type_I" if q == "de1" else "type_II"
-        val = thermo.excitation_energy(ExcitationSpec(kind, cfg.alpha))
-        return 0, _scalar_out(cfg, {"quantity": q, "alpha": cfg.alpha}, val)
-    if q == "delta":
-        hp = cfg.hole_pos if cfg.hole_pos is not None else 0.0
-        return 0, _scalar_out(cfg, {"quantity": q, "hole_pos": hp}, thermo.hole_delta(hp))
-    if q == "rho":
-        if cfg.n is None:
-            vals = [float(thermo.rho_bulk(x)) for x in _GRID]
-            atoms = []
+    if cfg.n is not None and cfg.n < 2:
+        raise ValueError(f"--n must be at least 2, got {cfg.n}")
+    if q in ("eg", "de1", "de2", "delta"):
+        if q == "eg":
+            meta, value = {}, thermo.ground_energy_density()
+        elif q == "delta":
+            hp = cfg.hole_pos if cfg.hole_pos is not None else 0.0
+            meta, value = {"hole_pos": hp}, thermo.hole_delta(hp)
         else:
-            if cfg.hole_pos is None:
-                raise ValueError("finite-size rho needs --hole-pos")
-            profile = thermo.ground_profile(cfg.hole_pos, cfg.n)
-            vals = [float(profile.smooth(x)) for x in _GRID]
-            atoms = list(profile.holes)
-        return 0, _grid_out(cfg, q, vals, atoms)
-    # drho1 / drho2 are finite-size corrections; n is mandatory
-    if cfg.n is None:
-        raise ValueError(f"{q} needs --n (it scales like 1/N)")
-    kind = "type_I" if q == "drho1" else "type_II"
-    spec = ExcitationSpec(kind, cfg.alpha)
-    vals = [float(thermo.delta_rho(spec, x, cfg.n)) for x in _GRID]
-    atoms = list(thermo.excitation_profile(spec, cfg.n).holes) if kind == "type_II" else []
-    return 0, _grid_out(cfg, q, vals, atoms)
-
-
-def _scalar_out(cfg: argparse.Namespace, meta: dict, value: float) -> str:
-    if cfg.fmt == "json":
-        return json.dumps({**meta, "value": float(value)})
-    return _fnum(value)
-
-
-def _grid_out(cfg: argparse.Namespace, q: str, vals, atoms) -> str:
-    if cfg.fmt == "json":
-        return json.dumps({
-            "quantity": q,
-            "alpha": cfg.alpha,
-            "n": cfg.n,
-            "lambda": [float(x) for x in _GRID],
-            "values": [float(v) for v in vals],
-            "atoms": [{"position": float(p), "weight": float(w)} for p, w in atoms],
-        }, indent=1)
-    lines = [f"{_fnum(x)},{_fnum(v)}" for x, v in zip(_GRID, vals)]
-    lines += [f"atom,{_fnum(p)},{_fnum(w)}" for p, w in atoms]
-    return "\n".join(lines)
+            kind = "type_I" if q == "de1" else "type_II"
+            spec = ExcitationSpec(kind, cfg.alpha)
+            meta, value = {"alpha": cfg.alpha}, thermo.excitation_energy(spec)
+        return 0, {"quantity": q, **meta, "value": float(value)}, [(float(value),)]
+    if q == "rho" and cfg.n is None:
+        vals, atoms = [thermo.rho_bulk(x) for x in _GRID], []
+    elif q == "rho":
+        if cfg.hole_pos is None:
+            raise ValueError("finite-size rho needs --hole-pos")
+        profile = thermo.ground_profile(cfg.hole_pos, cfg.n)
+        vals, atoms = [profile.smooth(x) for x in _GRID], profile.holes
+    else:  # drho1 / drho2 are finite-size corrections; n is mandatory
+        if cfg.n is None:
+            raise ValueError(f"{q} needs --n (it scales like 1/N)")
+        kind = "type_I" if q == "drho1" else "type_II"
+        spec = ExcitationSpec(kind, cfg.alpha)
+        vals = [thermo.delta_rho(spec, x, cfg.n) for x in _GRID]
+        atoms = thermo.excitation_profile(spec, cfg.n).holes if kind == "type_II" else []
+    doc = {
+        "quantity": q,
+        "alpha": cfg.alpha,
+        "n": cfg.n,
+        "lambda": [float(x) for x in _GRID],
+        "values": [float(v) for v in vals],
+        "atoms": [{"position": float(p), "weight": float(w)} for p, w in atoms],
+    }
+    rows = list(zip(doc["lambda"], doc["values"]))
+    rows += [("atom", a["position"], a["weight"]) for a in doc["atoms"]]
+    return 0, doc, rows
 
 
 def run_scatter(cfg: argparse.Namespace):
@@ -272,13 +241,8 @@ def run_scatter(cfg: argparse.Namespace):
     v = amp.value
     re = v.real if v.real != 0 else 0.0
     im = v.imag if v.imag != 0 else 0.0
-    if cfg.fmt == "json":
-        text = json.dumps({
-            "process": amp.process, "a1": cfg.a1, "a2": cfg.a2, "value": _cnum(v),
-        })
-    else:
-        text = f"{re:g}{im:+g}i"
-    return 0, text
+    doc = {"process": amp.process, "a1": cfg.a1, "a2": cfg.a2, "value": _cnum(v)}
+    return 0, doc, [(f"{re:g}{im:+g}i",)]
 
 
 def _bundled_fixture() -> str:
@@ -315,11 +279,13 @@ def _load_fixture(path: str):
 
 def run_table1(cfg: argparse.Namespace):
     tol = cfg.tol if cfg.tol is not None else 1e-3
+    if not tol > 0:
+        raise ValueError(f"--tol must be positive, got {tol:g}")
     path = cfg.fixture or _bundled_fixture()
     try:
         rows = _load_fixture(path)
     except ValueError as exc:
-        return 2, f"corrupted fixture: {exc}"
+        return 2, None, [(f"corrupted fixture: {exc}",)]
 
     params = ModelParams(n_sites=6)
     ed = diagonalize_symmetric(build_hamiltonian(params), want_vectors=False)
@@ -329,34 +295,23 @@ def run_table1(cfg: argparse.Namespace):
         seed = ZeroPointSet.from_shifted(row["lambdas"])
         zps = bae.solve_newton(seed, params, SolverConfig())
         i = int(np.argmin(np.abs(ed_vals - zps.energy)))
+        d_fixture, d_ed = abs(zps.energy - row["energy"]), abs(zps.energy - ed_vals[i])
         return {
             "level": row["level"],
             "energy_fixture": row["energy"],
             "energy_solved": zps.energy,
             "energy_ed": float(ed_vals[i]),
-            "delta_fixture": abs(zps.energy - row["energy"]),
-            "delta_ed": abs(zps.energy - ed_vals[i]),
+            "delta_fixture": d_fixture,
+            "delta_ed": d_ed,
+            "ok": bool(d_fixture <= tol and d_ed <= 1e-8),
         }
 
     results = [solve_row(r) for r in rows]
-
-    failed = 0
-    for r in results:
-        r["ok"] = bool(r["delta_fixture"] <= tol and r["delta_ed"] <= 1e-8)
-        failed += 0 if r["ok"] else 1
-
-    if cfg.fmt == "json":
-        text = json.dumps({"tol": tol, "rows": results, "failed": failed}, indent=1)
-    else:
-        lines = [
-            f"{r['level']},{_fnum(r['energy_fixture'])},{_fnum(r['energy_solved'])},"
-            f"{_fnum(r['energy_ed'])},{_fnum(r['delta_fixture'])},"
-            f"{_fnum(r['delta_ed'])},{'OK' if r['ok'] else 'FAIL'}"
-            for r in results
-        ]
-        lines.append(f"summary,rows,{len(results)},failed,{failed}")
-        text = "\n".join(lines)
-    return (0 if failed == 0 else 2), text
+    failed = sum(not r["ok"] for r in results)
+    lines = [(r["level"], r["energy_fixture"], r["energy_solved"], r["energy_ed"],
+              r["delta_fixture"], r["delta_ed"], "OK" if r["ok"] else "FAIL") for r in results]
+    lines.append(("summary", "rows", len(results), "failed", failed))
+    return (0 if failed == 0 else 2), {"tol": tol, "rows": results, "failed": failed}, lines
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +384,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     cfg = build_parser().parse_args(argv)
     try:
-        code, text = _DISPATCH[cfg.command](cfg)
-        _emit(text, cfg.out)
+        code, doc, rows = _DISPATCH[cfg.command](cfg)
+        text = _render(cfg.fmt, doc, rows)
+        if cfg.out is None:
+            print(text)
+        else:
+            with open(cfg.out, "w") as fh:
+                fh.write(text + "\n")
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -26,6 +26,10 @@ from .model import (
     SpectrumResult,
 )
 
+_HERM_TOL = 1e-10  # largest imaginary part or asymmetry taken as rounding
+_H_STEP = 1e-5  # finite-difference step for t'(0)
+
+
 def _check_capacity(n: int):
     if n > ED_CAP:
         raise CapacityError(f"n_sites={n} exceeds the dense cap of {ED_CAP}")
@@ -126,8 +130,7 @@ def _degenerate_blocks(vals: np.ndarray, tol: float = 1e-8):
         i = j
 
 
-def diagonalize_symmetric(m: np.ndarray, want_vectors: bool = True,
-                          herm_tol: float = 1e-10) -> SpectrumResult:
+def diagonalize_symmetric(m: np.ndarray, want_vectors: bool = True) -> SpectrumResult:
     """Full ascending spectrum of a real symmetric matrix.
 
     When the matrix is a chain operator commuting with U = prod sigma^x,
@@ -136,11 +139,11 @@ def diagonalize_symmetric(m: np.ndarray, want_vectors: bool = True,
     """
     m = np.asarray(m)
     if np.iscomplexobj(m):
-        if np.max(np.abs(m.imag)) > herm_tol:
+        if np.max(np.abs(m.imag)) > _HERM_TOL:
             raise ValueError("matrix has a non-negligible imaginary part")
         m = m.real
     m = m.astype(float, copy=False)
-    if np.max(np.abs(m - m.T)) > herm_tol * max(1.0, np.max(np.abs(m))):
+    if np.max(np.abs(m - m.T)) > _HERM_TOL * max(1.0, np.max(np.abs(m))):
         raise ValueError("matrix is not symmetric")
     vals, vecs = np.linalg.eigh(m)
     if not want_vectors:
@@ -162,16 +165,16 @@ def diagonalize_symmetric(m: np.ndarray, want_vectors: bool = True,
     return SpectrumResult(eigenvalues=vals, eigenvectors=vecs, parity=parity)
 
 
-def joint_eigenstates(params: ModelParams, probe: complex = U_PROBE):
+def joint_eigenstates(params: ModelParams):
     """Common eigenbasis of H and the transfer family.
 
     H eigenspaces can be degenerate (the spin-flip pairing alone doubles
     every level), so each near-degenerate block is diagonalized again in
-    t(probe). Returns (energies ascending, eigenvector matrix) with columns
+    t(U_PROBE). Returns (energies ascending, eigenvector matrix) with columns
     that are joint eigenstates.
     """
     vals, q = np.linalg.eigh(build_hamiltonian(params).real)
-    tp = build_transfer_matrix(probe, params)
+    tp = build_transfer_matrix(U_PROBE, params)
     vecs = q.astype(complex)
     for i, j in _degenerate_blocks(vals):
         if j - i > 1:
@@ -182,35 +185,34 @@ def joint_eigenstates(params: ModelParams, probe: complex = U_PROBE):
     return vals, vecs
 
 
-def transfer_eigenbasis(params: ModelParams, probe: complex = U_PROBE):
-    """Eigenbasis of t(probe), valid for any inhomogeneities.
+def transfer_eigenbasis(params: ModelParams):
+    """Eigenbasis of t(U_PROBE), valid for any inhomogeneities.
 
     With nonzero thetas the local Hamiltonian is no longer part of the
     commuting family, so the basis has to come from the family itself. The
     probe eigenvalues are generically simple; columns are sorted by
     decreasing |eigenvalue|.
     """
-    t = build_transfer_matrix(probe, params)
+    t = build_transfer_matrix(U_PROBE, params)
     vals, vecs = np.linalg.eig(t)
     order = np.argsort(-np.abs(vals))
     return vals[order], vecs[:, order]
 
 
-def transfer_eigenvalue_on_state(u, params: ModelParams, state: np.ndarray,
-                                 probe: complex = U_PROBE, tol: float = 1e-8):
+def transfer_eigenvalue_on_state(u, params: ModelParams, state: np.ndarray):
     """Lambda(u) = <state|t(u)|state> / <state|state>, for one u or an array.
 
-    The state must already be an eigenvector of t(probe); a Rayleigh
+    The state must already be an eigenvector of t(U_PROBE); a Rayleigh
     quotient on a non-eigenstate would silently average eigenvalues. The
     probe is built and checked once per call, so pass a whole grid of u at
     once; an array of u gives an array of eigenvalues.
     """
     state = np.asarray(state, dtype=complex)
-    tp = build_transfer_matrix(probe, params)
+    tp = build_transfer_matrix(U_PROBE, params)
     ts = tp @ state
     nrm2 = np.vdot(state, state)
     lam_p = np.vdot(state, ts) / nrm2
-    if np.linalg.norm(ts - lam_p * state) > tol * np.linalg.norm(ts):
+    if np.linalg.norm(ts - lam_p * state) > 1e-8 * np.linalg.norm(ts):
         raise DegeneracyResolutionError(
             "state is not an eigenvector of the probe transfer matrix"
         )
@@ -219,7 +221,7 @@ def transfer_eigenvalue_on_state(u, params: ModelParams, state: np.ndarray,
     return np.array(vals) if np.ndim(u) else vals[0]
 
 
-def hamiltonian_from_transfer(params: ModelParams, h_step: float = 1e-5) -> np.ndarray:
+def hamiltonian_from_transfer(params: ModelParams) -> np.ndarray:
     """H reconstructed as -2 sinh(eta) t'(0) t(0)^{-1} + N cosh(eta).
 
     Central differences with one Richardson level: t'(0) ~= [8(t(h)-t(-h))
@@ -231,11 +233,11 @@ def hamiltonian_from_transfer(params: ModelParams, h_step: float = 1e-5) -> np.n
         raise ValueError("transfer-derivative construction is specialized to eta = i*pi/3")
     n = params.n_sites
     t0 = build_transfer_matrix(0.0, params)
-    tp1 = build_transfer_matrix(h_step, params)
-    tm1 = build_transfer_matrix(-h_step, params)
-    tp2 = build_transfer_matrix(2 * h_step, params)
-    tm2 = build_transfer_matrix(-2 * h_step, params)
-    dt = (8 * (tp1 - tm1) - (tp2 - tm2)) / (12 * h_step)
+    tp1 = build_transfer_matrix(_H_STEP, params)
+    tm1 = build_transfer_matrix(-_H_STEP, params)
+    tp2 = build_transfer_matrix(2 * _H_STEP, params)
+    tm2 = build_transfer_matrix(-2 * _H_STEP, params)
+    dt = (8 * (tp1 - tm1) - (tp2 - tm2)) / (12 * _H_STEP)
     h = -2 * np.sinh(params.eta) * dt @ np.linalg.inv(t0) + n * np.cosh(params.eta) * np.eye(2**n)
     if np.max(np.abs(h.imag)) < 1e-6:
         return h.real

@@ -91,23 +91,15 @@ class ModelParams:
     def theta_array(self) -> np.ndarray:
         return np.asarray(self.thetas, dtype=complex)
 
-    def require_distinct_thetas(self, tol: float = 1e-12):
-        th = self.theta_array
-        diff = np.abs(th[:, None] - th[None, :])
-        np.fill_diagonal(diff, np.inf)
-        if np.min(diff) < tol:
-            raise ValueError("identity verification needs pairwise distinct thetas")
-
 
 @dataclass(frozen=True)
 class SolverConfig:
     tol: float = 1e-12
     max_iter: int = 200
-    damping: float = 1.0  # initial step factor, halved while backtracking
     dedupe_tol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("tol", "max_iter", "damping", "dedupe_tol"):
+        for name in ("tol", "max_iter", "dedupe_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 

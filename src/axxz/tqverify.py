@@ -96,8 +96,7 @@ def fit_lambda0(zeros, params: ModelParams) -> SpectralFunction:
     return SpectralFunction(lambda0=lam0, zeros=tuple(z), fit_residuals=resid)
 
 
-def spectral_function_from_state(state: np.ndarray, params: ModelParams,
-                                 probe: complex = U_PROBE) -> SpectralFunction:
+def spectral_function_from_state(state: np.ndarray, params: ModelParams) -> SpectralFunction:
     """Extract the factored eigenvalue carried by one joint eigenvector.
 
     Lambda(u) e^{(N-1)u} is a degree N-1 polynomial in x = e^{2u}, so N
@@ -106,7 +105,7 @@ def spectral_function_from_state(state: np.ndarray, params: ModelParams,
     """
     n = params.n_sites
     us = np.array([1j * np.pi * k / (2 * n) for k in range(n)])
-    samples = transfer_eigenvalue_on_state(us, params, state, probe=probe)
+    samples = transfer_eigenvalue_on_state(us, params, state)
     xs = np.exp(2 * us)
     g = samples * np.exp((n - 1) * us)
     coeff = np.linalg.solve(np.vander(xs, n, increasing=True), g)
@@ -120,8 +119,7 @@ def spectral_function_from_state(state: np.ndarray, params: ModelParams,
     return SpectralFunction(lambda0=complex(lam0), zeros=tuple(z))
 
 
-def functional_form_check(state: np.ndarray, params: ModelParams,
-                          probe: complex = U_PROBE) -> float:
+def functional_form_check(state: np.ndarray, params: ModelParams) -> float:
     """Off-band Fourier weight of the sampled eigenvalue.
 
     On the imaginary axis the factored form only contains the frequencies
@@ -132,7 +130,7 @@ def functional_form_check(state: np.ndarray, params: ModelParams,
     n = params.n_sites
     grid = 4 * n
     phis = 2 * np.pi * np.arange(grid) / grid
-    samples = transfer_eigenvalue_on_state(1j * phis, params, state, probe=probe)
+    samples = transfer_eigenvalue_on_state(1j * phis, params, state)
     spec = np.fft.fft(samples)
     allowed = np.zeros(grid, dtype=bool)
     for m in range(n):

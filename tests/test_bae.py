@@ -187,6 +187,37 @@ class TestNewton:
         assert np.max(np.abs(lam.imag)) < 1e-8
         assert np.all(np.diff(lam.real) > 0)
 
+    @staticmethod
+    def _record_residual_calls(monkeypatch, residual):
+        calls = []
+
+        def recording(z, params):
+            calls.append(np.array(z, copy=True))
+            return residual(z, params)
+
+        monkeypatch.setattr(bae, "bae_residual", recording)
+        return calls
+
+    def test_residual_not_recomputed_at_accepted_point(self, monkeypatch, params6):
+        zps, _ = ground_solution(6)
+        rng = np.random.default_rng(5)
+        z = zps.zeros + 1e-2 * (rng.standard_normal(5) + 1j * rng.standard_normal(5))
+        calls = self._record_residual_calls(monkeypatch, bae.bae_residual)
+        assert bae.solve_newton(z, params6).iterations > 1
+        assert not any(np.array_equal(a, b) for a, b in zip(calls, calls[1:]))
+
+    def test_residual_recomputed_after_refused_line_search(self, monkeypatch, params6):
+        # a residual norm that grows on every call refuses all 40 halvings, so
+        # the point taken (step / 2^40) differs from the last trial evaluated
+        zps, _ = ground_solution(6)
+        calls = self._record_residual_calls(
+            monkeypatch, lambda z, params: np.full(len(z), float(len(calls))))
+        with pytest.raises(NonConvergenceError):
+            bae.solve_newton(zps.zeros + 1e-3, params6, SolverConfig(max_iter=2))
+        assert len(calls) == 82  # per iteration: the new point, then 40 trials
+        assert not np.array_equal(calls[41], calls[40])
+        assert not np.array_equal(calls[41], calls[0])
+
     def test_collision_names_first_pair(self):
         z = np.array([0.5, 1.0, 0.3, 1.0 + 1e-9, 0.3 + 2e-9j, 2.0, 2.0])
         first = next((j, k) for j in range(len(z)) for k in range(j + 1, len(z))

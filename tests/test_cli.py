@@ -148,6 +148,13 @@ class TestThermo:
         doc = json.loads(out)
         assert doc["atoms"] == [{"position": 0.5, "weight": -1 / 32}]
 
+    @pytest.mark.parametrize("n", ["0", "-4"])
+    @pytest.mark.parametrize("extra", [["rho", "--hole-pos", "1"], ["drho1"], ["drho2"]],
+                             ids=["rho", "drho1", "drho2"])
+    def test_size_below_two_rejected(self, capsys, n, extra):
+        code, out, err = run(capsys, "thermo", "--quantity", *extra, "--n", n)
+        assert code == 2 and "--n" in err and out == ""
+
     def test_finite_size_needs_n(self, capsys):
         code, _, _ = run(capsys, "thermo", "--quantity", "drho1")
         assert code == 2
@@ -201,6 +208,11 @@ class TestTable1:
         code, out, _ = run(capsys, "table1", "--fixture", str(bad))
         assert code == 2
         assert "corrupted fixture" in out
+
+    @pytest.mark.parametrize("tol", ["0", "-1"])
+    def test_nonpositive_tol_rejected(self, capsys, tol):
+        code, out, err = run(capsys, "table1", "--tol", tol)
+        assert code == 2 and "--tol" in err and out == ""
 
     def test_missing_fixture_is_io_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "table1", "--fixture", str(tmp_path / "nope.csv"))
