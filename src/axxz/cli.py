@@ -16,9 +16,10 @@ when it holds an array and on one line otherwise; a complex value is
 str. A result with no document (a corrupted table1 fixture) is written as
 rows in both formats.
 
-Exit codes: 0 success, 2 invalid input (thermo --n below 2 and table1 --tol
-not positive included) or failed validation, 3 solver non-convergence or a
-root collision after convergence, 4 I/O failure.
+Exit codes: 0 success, 2 invalid input (thermo --n below 2, a thermo option
+that does not apply to the quantity, and table1 --tol not positive included)
+or failed validation, 3 solver non-convergence or a root collision after
+convergence, 4 I/O failure.
 """
 from __future__ import annotations
 
@@ -192,12 +193,20 @@ def run_verify(cfg: argparse.Namespace):
 
 
 _GRID = np.linspace(-5.0, 5.0, 201)
+_THERMO_OPTIONS = {"eg": (), "de1": ("alpha",), "de2": ("alpha",), "delta": ("hole_pos",),
+                   "rho": ("n", "hole_pos"), "drho1": ("alpha", "n"), "drho2": ("alpha", "n")}
 
 
 def run_thermo(cfg: argparse.Namespace):
     q = cfg.quantity
     if cfg.n is not None and cfg.n < 2:
         raise ValueError(f"--n must be at least 2, got {cfg.n}")
+    for opt in ("alpha", "hole_pos", "n"):
+        if getattr(cfg, opt) is not None and opt not in _THERMO_OPTIONS[q]:
+            raise ValueError(f"--{opt.replace('_', '-')} does not apply to --quantity {q}")
+    if q == "rho" and (cfg.n is None) != (cfg.hole_pos is None):
+        raise ValueError("finite-size rho needs both --n and --hole-pos")
+    alpha = 0.0 if cfg.alpha is None else cfg.alpha
     if q in ("eg", "de1", "de2", "delta"):
         if q == "eg":
             meta, value = {}, thermo.ground_energy_density()
@@ -206,26 +215,24 @@ def run_thermo(cfg: argparse.Namespace):
             meta, value = {"hole_pos": hp}, thermo.hole_delta(hp)
         else:
             kind = "type_I" if q == "de1" else "type_II"
-            spec = ExcitationSpec(kind, cfg.alpha)
-            meta, value = {"alpha": cfg.alpha}, thermo.excitation_energy(spec)
+            spec = ExcitationSpec(kind, alpha)
+            meta, value = {"alpha": alpha}, thermo.excitation_energy(spec)
         return 0, {"quantity": q, **meta, "value": float(value)}, [(float(value),)]
     if q == "rho" and cfg.n is None:
         vals, atoms = [thermo.rho_bulk(x) for x in _GRID], []
     elif q == "rho":
-        if cfg.hole_pos is None:
-            raise ValueError("finite-size rho needs --hole-pos")
         profile = thermo.ground_profile(cfg.hole_pos, cfg.n)
         vals, atoms = [profile.smooth(x) for x in _GRID], profile.holes
     else:  # drho1 / drho2 are finite-size corrections; n is mandatory
         if cfg.n is None:
             raise ValueError(f"{q} needs --n (it scales like 1/N)")
         kind = "type_I" if q == "drho1" else "type_II"
-        spec = ExcitationSpec(kind, cfg.alpha)
+        spec = ExcitationSpec(kind, alpha)
         vals = [thermo.delta_rho(spec, x, cfg.n) for x in _GRID]
         atoms = thermo.excitation_profile(spec, cfg.n).holes if kind == "type_II" else []
     doc = {
         "quantity": q,
-        "alpha": cfg.alpha,
+        "alpha": alpha,
         "n": cfg.n,
         "lambda": [float(x) for x in _GRID],
         "values": [float(v) for v in vals],
@@ -362,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("thermo", help="closed-form limit quantities")
     p.add_argument("--quantity", choices=_QUANTITIES, required=True)
-    p.add_argument("--alpha", type=float, default=0.0)
+    p.add_argument("--alpha", type=float, default=None, help="rapidity (default 0)")
     p.add_argument("--hole-pos", dest="hole_pos", type=float, default=None)
     p.add_argument("--n", type=int, default=None, help="finite size for 1/N corrections")
     _add_common(p)

@@ -1,10 +1,11 @@
-"""Dense R-matrix, transfer matrix and Hamiltonian for small chains.
+"""R-matrix, transfer matrix and Hamiltonian for small chains.
 
 Builds the six-vertex R-matrix, the twisted transfer matrix
 t(u) = tr_0{ sigma^x_0 R_0N(u - theta_N) ... R_01(u - theta_1) } and the
 antiperiodic XXZ Hamiltonian as dense 2^N x 2^N arrays, and resolves the
 joint eigenbasis of H and t. This module is the exact-diagonalization
-oracle everything else is checked against.
+oracle everything else is checked against. `apply_transfer` gives t(u) on a
+few vectors in O(N 2^N) work per u, without forming the matrix.
 
 Basis index bits are spins, site 1 the most significant bit, bit 0 = up.
 H is filled from bit arithmetic on these indices, in O(N 2^N) work, and the
@@ -35,6 +36,14 @@ def _check_capacity(n: int):
         raise CapacityError(f"n_sites={n} exceeds the dense cap of {ED_CAP}")
 
 
+def _r_weights(u, eta):
+    """The two R-matrix weights sinh(u + eta)/sinh(eta) and sinh(u)/sinh(eta)."""
+    se = np.sinh(eta)
+    if abs(se) < 1e-14:
+        raise DegenerateAnisotropyError("sinh(eta) = 0")
+    return np.sinh(u + eta) / se, np.sinh(u) / se
+
+
 def build_r_matrix(u: complex, eta: complex = ETA) -> np.ndarray:
     """4x4 six-vertex R-matrix on auxiliary (x) quantum space.
 
@@ -42,11 +51,7 @@ def build_r_matrix(u: complex, eta: complex = ETA) -> np.ndarray:
     plus unit off-diagonal hopping in the mixed sector. R(0) is the
     permutation matrix.
     """
-    se = np.sinh(eta)
-    if abs(se) < 1e-14:
-        raise DegenerateAnisotropyError("sinh(eta) = 0")
-    bp = np.sinh(u + eta) / se
-    bm = np.sinh(u) / se
+    bp, bm = _r_weights(u, eta)
     return np.array(
         [
             [bp, 0, 0, 0],
@@ -117,6 +122,28 @@ def build_transfer_matrix(u: complex, params: ModelParams) -> np.ndarray:
             for a in range(2)
         ]
     return m[0][0] + m[1][1]
+
+
+def apply_transfer(u, params: ModelParams, vectors) -> np.ndarray:
+    """t(u) @ vectors for every u of a grid, shape (len(u), 2^N, K).
+
+    R_0j(u - theta_j) is applied site by site, j = 1..N, to an array indexed
+    (u, start aux, current aux, spins and column); the sigma^x-twisted trace
+    then pairs opposite start and end aux states.
+    """
+    u = np.atleast_1d(np.asarray(u, dtype=complex))
+    v = np.asarray(vectors, dtype=complex).reshape(2**params.n_sites, -1)
+    x = np.zeros((len(u), 2, 2, v.size), dtype=complex)
+    x[:, 0, 0] = x[:, 1, 1] = v.ravel()
+    for j, th in enumerate(params.theta_array):
+        bp, bm = (w[:, None, None, None] for w in _r_weights(u - th, params.eta))
+        y = x.reshape(len(u), 2, 2, 2**j, 2, -1)  # (u, start, aux, left, site j, right)
+        x = np.empty_like(y)
+        x[:, :, 0, :, 0] = bp * y[:, :, 0, :, 0]
+        x[:, :, 1, :, 1] = bp * y[:, :, 1, :, 1]
+        x[:, :, 0, :, 1] = bm * y[:, :, 0, :, 1] + y[:, :, 1, :, 0]
+        x[:, :, 1, :, 0] = bm * y[:, :, 1, :, 0] + y[:, :, 0, :, 1]
+    return (x[:, 0, 1] + x[:, 1, 0]).reshape(len(u), len(v), -1)
 
 
 def _degenerate_blocks(vals: np.ndarray, tol: float = 1e-8):
@@ -204,21 +231,15 @@ def transfer_eigenvalue_on_state(u, params: ModelParams, state: np.ndarray):
 
     The state must already be an eigenvector of t(U_PROBE); a Rayleigh
     quotient on a non-eigenstate would silently average eigenvalues. The
-    probe is built and checked once per call, so pass a whole grid of u at
-    once; an array of u gives an array of eigenvalues.
+    probe is checked once per call, in the same pass as the samples, so pass
+    a whole grid of u at once; an array of u gives an array of eigenvalues.
     """
     state = np.asarray(state, dtype=complex)
-    tp = build_transfer_matrix(U_PROBE, params)
-    ts = tp @ state
-    nrm2 = np.vdot(state, state)
-    lam_p = np.vdot(state, ts) / nrm2
-    if np.linalg.norm(ts - lam_p * state) > 1e-8 * np.linalg.norm(ts):
-        raise DegeneracyResolutionError(
-            "state is not an eigenvector of the probe transfer matrix"
-        )
-    vals = [complex(np.vdot(state, build_transfer_matrix(x, params) @ state) / nrm2)
-            for x in np.atleast_1d(u)]
-    return np.array(vals) if np.ndim(u) else vals[0]
+    tus = apply_transfer(np.r_[U_PROBE, np.ravel(u)], params, state)[..., 0]
+    lams = np.array([np.vdot(state, tu) for tu in tus]) / np.vdot(state, state)
+    if np.linalg.norm(tus[0] - lams[0] * state) > 1e-8 * np.linalg.norm(tus[0]):
+        raise DegeneracyResolutionError("state is not an eigenvector of the probe transfer matrix")
+    return lams[1:] if np.ndim(u) else complex(lams[1])
 
 
 def hamiltonian_from_transfer(params: ModelParams) -> np.ndarray:
@@ -233,10 +254,7 @@ def hamiltonian_from_transfer(params: ModelParams) -> np.ndarray:
         raise ValueError("transfer-derivative construction is specialized to eta = i*pi/3")
     n = params.n_sites
     t0 = build_transfer_matrix(0.0, params)
-    tp1 = build_transfer_matrix(_H_STEP, params)
-    tm1 = build_transfer_matrix(-_H_STEP, params)
-    tp2 = build_transfer_matrix(2 * _H_STEP, params)
-    tm2 = build_transfer_matrix(-2 * _H_STEP, params)
+    tp1, tm1, tp2, tm2 = (build_transfer_matrix(s * _H_STEP, params) for s in (1, -1, 2, -2))
     dt = (8 * (tp1 - tm1) - (tp2 - tm2)) / (12 * _H_STEP)
     h = -2 * np.sinh(params.eta) * dt @ np.linalg.inv(t0) + n * np.cosh(params.eta) * np.eye(2**n)
     if np.max(np.abs(h.imag)) < 1e-6:

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg import toeplitz
 
 from .model import (
     ConsistencyError,
@@ -141,16 +139,14 @@ def _energy_quadrature(density, extra_points=(), root_terms=()):
     density is the O(1) smooth profile; root_terms are the z-plane positions
     of discrete roots added on top of the sea.
     """
+    from scipy.integrate import quad
 
-    def f_re(x):
-        return (1j * SQ3 * _coth(x - 1j * np.pi / 6) * density(x)).real
+    def integrand(x):
+        return 1j * SQ3 * _coth(x - 1j * np.pi / 6) * density(x)
 
-    def f_im(x):
-        return (1j * SQ3 * _coth(x - 1j * np.pi / 6) * density(x)).imag
-
-    pts = sorted(p for p in extra_points if abs(p) < QUAD_CUTOFF)
-    re, _ = quad(f_re, -QUAD_CUTOFF, QUAD_CUTOFF, points=pts or None, **_QUAD_OPTS)
-    im, _ = quad(f_im, -QUAD_CUTOFF, QUAD_CUTOFF, points=pts or None, **_QUAD_OPTS)
+    pts = sorted(p for p in extra_points if abs(p) < QUAD_CUTOFF) or None
+    re, _ = quad(lambda x: integrand(x).real, -QUAD_CUTOFF, QUAD_CUTOFF, points=pts, **_QUAD_OPTS)
+    im, _ = quad(lambda x: integrand(x).imag, -QUAD_CUTOFF, QUAD_CUTOFF, points=pts, **_QUAD_OPTS)
     total = re + 1j * im
     for z in root_terms:
         total += 1j * SQ3 * _coth(z)
@@ -276,6 +272,8 @@ def solve_density_equation(inhomogeneity, lo: float = -20.0, hi: float = 20.0,
     Returns (grid, solution). Direct numerical oracle for the Fourier-derived
     closed forms; the kernel has L1 norm 1/3 so the iteration contracts fast.
     """
+    from scipy.linalg import toeplitz
+
     grid = np.linspace(lo, hi, n_points)
     h = grid[1] - grid[0]
     wts = np.full(n_points, h)

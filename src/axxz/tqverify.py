@@ -9,8 +9,8 @@ identities built from
 the bilinear relation Lambda(theta_j) Lambda(theta_j - eta) =
 -a(theta_j) d(theta_j - eta) at the inhomogeneity points, and a cubic
 relation that holds at every u. This module extracts the factored form from
-eigenvectors, fits the prefactor from zero sets, and verifies the identities
-numerically.
+eigenvectors by one FFT of 4N samples, fits the prefactor from zero sets,
+and verifies the identities numerically.
 """
 from __future__ import annotations
 
@@ -96,26 +96,34 @@ def fit_lambda0(zeros, params: ModelParams) -> SpectralFunction:
     return SpectralFunction(lambda0=lam0, zeros=tuple(z), fit_residuals=resid)
 
 
+def _sampled_spectrum(state: np.ndarray, params: ModelParams):
+    """(p_0..p_{N-1}, relative off-band weight) from the FFT of Lambda at
+    u = 2 pi i k / 4N: Lambda(u) = sum_m p_m e^{(2m-(N-1))u} holds only the
+    frequencies 2m-(N-1), all distinct mod 4N."""
+    grid = 4 * params.n_sites
+    samples = transfer_eigenvalue_on_state(2j * np.pi * np.arange(grid) / grid, params, state)
+    spec = np.fft.fft(samples) / grid
+    band = (2 * np.arange(params.n_sites) - (params.n_sites - 1)) % grid
+    total = np.linalg.norm(spec)
+    off = float(np.linalg.norm(np.delete(spec, band)) / total) if total else 0.0
+    return spec[band], off
+
+
 def spectral_function_from_state(state: np.ndarray, params: ModelParams) -> SpectralFunction:
     """Extract the factored eigenvalue carried by one joint eigenvector.
 
-    Lambda(u) e^{(N-1)u} is a degree N-1 polynomial in x = e^{2u}, so N
-    samples on the imaginary axis determine it through a Vandermonde solve;
+    Lambda(u) e^{(N-1)u} is a degree N-1 polynomial in x = e^{2u}, whose
+    coefficients are read off the FFT of 4N samples on the imaginary axis;
     its roots are e^{2 z_j} and its leading coefficient carries lambda0.
     """
-    n = params.n_sites
-    us = np.array([1j * np.pi * k / (2 * n) for k in range(n)])
-    samples = transfer_eigenvalue_on_state(us, params, state)
-    xs = np.exp(2 * us)
-    g = samples * np.exp((n - 1) * us)
-    coeff = np.linalg.solve(np.vander(xs, n, increasing=True), g)
+    coeff, _ = _sampled_spectrum(state, params)
     if abs(coeff[-1]) < 1e-10 * np.max(np.abs(coeff)):
         raise InconsistentZeroSetError(
             "sampled eigenvalue has deficient degree; not a generic eigenvector"
         )
     roots = np.roots(coeff[::-1])
     z = canonicalize(np.log(roots) / 2)
-    lam0 = coeff[-1] * 2 ** (n - 1) * np.exp(np.sum(z))
+    lam0 = coeff[-1] * 2 ** (len(coeff) - 1) * np.exp(np.sum(z))
     return SpectralFunction(lambda0=complex(lam0), zeros=tuple(z))
 
 
@@ -123,22 +131,11 @@ def functional_form_check(state: np.ndarray, params: ModelParams) -> float:
     """Off-band Fourier weight of the sampled eigenvalue.
 
     On the imaginary axis the factored form only contains the frequencies
-    N-1-2m, m = 0..N-1. Returns the relative spectral weight outside that
-    band from 4N equispaced samples; values at rounding level confirm the
-    functional form independently of the Vandermonde solve.
+    N-1-2m, m = 0..N-1. Returns the relative weight outside that band in the
+    FFT of 4N equispaced samples, the one the extraction reads; values at
+    rounding level confirm the functional form it assumes.
     """
-    n = params.n_sites
-    grid = 4 * n
-    phis = 2 * np.pi * np.arange(grid) / grid
-    samples = transfer_eigenvalue_on_state(1j * phis, params, state)
-    spec = np.fft.fft(samples)
-    allowed = np.zeros(grid, dtype=bool)
-    for m in range(n):
-        allowed[(n - 1 - 2 * m) % grid] = True
-    total = np.linalg.norm(spec)
-    if total == 0:
-        return 0.0
-    return float(np.linalg.norm(spec[~allowed]) / total)
+    return _sampled_spectrum(state, params)[1]
 
 
 # ---------------------------------------------------------------------------

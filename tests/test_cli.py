@@ -159,6 +159,16 @@ class TestThermo:
         code, _, _ = run(capsys, "thermo", "--quantity", "drho1")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["eg", "--alpha", "5"], "--alpha"),
+        (["eg", "--n", "7"], "--n"),
+        (["drho1", "--n", "16", "--hole-pos", "9"], "--hole-pos"),
+        (["rho", "--hole-pos", "1"], "--hole-pos"),
+    ], ids=["eg-alpha", "eg-n", "drho1-hole-pos", "rho-hole-pos-without-n"])
+    def test_option_that_does_not_apply_rejected(self, capsys, argv, flag):
+        code, out, err = run(capsys, "thermo", "--quantity", *argv)
+        assert code == 2 and flag in err and out == ""
+
 
 class TestScatter:
     def test_equal_rapidity_string(self, capsys):
@@ -244,6 +254,17 @@ class TestOutput:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "1+0i"
+
+    def test_import_loads_no_scipy(self):
+        src = str(Path(axxz.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, axxz, axxz.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True, timeout=60, check=True, env=env,
+        )
+        assert proc.stdout.strip() == "[]"
 
     def test_json_round_trip_is_exact(self, capsys):
         _, out, _ = run(capsys, "bae", "--n", "6", "--format", "json")

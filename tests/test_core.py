@@ -2,7 +2,8 @@
 
 Oracles here are either algebraic (permutation at u = 0, inversion to a
 scalar, symmetry conjugations) or cross-constructions (the Hamiltonian
-rebuilt from the transfer derivative).
+rebuilt from the transfer derivative, the matrix-free transfer action
+against the dense transfer matrix).
 """
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from axxz import core, tqverify
 from axxz.model import (
     ETA,
+    U_PROBE,
     CapacityError,
     DegenerateAnisotropyError,
     DegeneracyResolutionError,
@@ -159,6 +161,25 @@ class TestTransfer:
         params = ModelParams(n_sites=4, thetas=(0.1, 0.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             core.hamiltonian_from_transfer(params)
+
+
+class TestApplyTransfer:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_matches_dense_oracle(self, n):
+        rng = np.random.default_rng(100 + n)
+        params = ModelParams(n_sites=n, thetas=tuple(rng.uniform(-0.1, 0.1, n)))
+        vecs = rng.normal(size=(2**n, 3)) + 1j * rng.normal(size=(2**n, 3))
+        th1 = params.thetas[0]
+        us = np.array([U_PROBE, 0.0, th1, th1 - ETA, 0.21 - 0.13j + 1j * np.pi])
+        got = core.apply_transfer(us, params, vecs)
+        assert got.shape == (len(us), 2**n, 3)
+        for u, tv in zip(us, got):
+            ref = core.build_transfer_matrix(u, params) @ vecs
+            assert np.max(np.abs(tv - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_vector_input_keeps_a_column_axis(self, params6, joint6):
+        _, vecs = joint6
+        assert core.apply_transfer([0.1, 0.2j], params6, vecs[:, 0]).shape == (2, 64, 1)
 
 
 class TestEigenstates:

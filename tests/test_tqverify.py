@@ -1,7 +1,7 @@
 """Factored-eigenvalue extraction and the functional identities.
 
 Eigenvectors come straight from dense diagonalization, so every check here
-is an independent cross-validation of the factored form: the Vandermonde
+is an independent cross-validation of the factored form: the FFT
 extraction, the bilinear and cubic identities, and the Fourier band filter
 all have to agree on the same state.
 """
@@ -65,6 +65,17 @@ class TestExtraction:
         got = np.sort_complex(np.asarray(f.zeros))
         want = np.sort_complex(solved.zeros)
         assert np.max(np.abs(got - want)) < 1e-7
+
+    @pytest.mark.parametrize("n", [6, 8, 10])
+    def test_zeros_satisfy_bae_across_sizes(self, n):
+        params = ModelParams(n_sites=n)
+        _, vecs = core.joint_eigenstates(params)
+        worst = max(
+            np.max(np.abs(bae.bae_residual(
+                tqverify.spectral_function_from_state(vecs[:, i], params).zeros, params)))
+            for i in np.linspace(0, 2**n - 1, 26).astype(int)
+        )
+        assert worst <= 1e-9
 
     def test_band_filter_is_tight(self, params6, joint6):
         _, vecs = joint6
