@@ -6,7 +6,7 @@ eigenvalue factors over N-1 zero points, the zeros obey closed Bethe-type
 equations, and the large-N limit has closed-form densities, dispersions and
 scattering amplitudes. Submodules:
 
-    core      dense operators: R matrix, Hamiltonian, transfer matrices, ED
+    core      operators: R matrix, Hamiltonian, transfer action t(u) X, ED
     bae       zero-point equations: residuals, Newton solver, quantum numbers
     tqverify  factored-eigenvalue extraction and functional identity checks
     thermo    large-N closed forms and finite-size density checks
@@ -22,7 +22,6 @@ from .model import (
     U_PROBE,
     CapacityError,
     ConsistencyError,
-    DegenerateAnisotropyError,
     DegeneracyResolutionError,
     DensityProfile,
     Excitation,
@@ -48,7 +47,7 @@ __all__ = [
     "ModelParams", "SolverConfig", "SpectrumResult", "Excitation",
     "QuantumNumberSet", "RootPattern", "ZeroPointSet", "SpectralFunction",
     "DensityProfile", "ExcitationSpec", "ScatteringAmplitude",
-    "CapacityError", "DegenerateAnisotropyError", "DegeneracyResolutionError",
+    "CapacityError", "DegeneracyResolutionError",
     "SingularConfigurationError", "NonConvergenceError", "NonPhysicalRootsError",
     "InconsistentZeroSetError", "ConsistencyError",
     "core", "bae", "tqverify", "thermo", "cli",

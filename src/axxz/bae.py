@@ -98,11 +98,11 @@ def bae_jacobian(zeros, params: ModelParams) -> np.ndarray:
     return jac
 
 
-def energy_from_zeros(zeros, params: ModelParams, imag_tol: float = 1e-8) -> float:
+def energy_from_zeros(zeros, params: ModelParams) -> float:
     """E = 2 sinh(eta) sum coth(z_j) + N cosh(eta); must come out real."""
     z = _zeros_of(zeros)
     e = 2 * SINH_ETA * np.sum(1 / np.tanh(z)) + params.n_sites * COSH_ETA
-    if abs(e.imag) > imag_tol:
+    if abs(e.imag) > 1e-8:
         raise NonPhysicalRootsError(
             f"energy has imaginary part {e.imag:.3e}; root set is not physical"
         )

@@ -1,11 +1,14 @@
 """R-matrix, transfer matrix and Hamiltonian for small chains.
 
-Builds the six-vertex R-matrix, the twisted transfer matrix
-t(u) = tr_0{ sigma^x_0 R_0N(u - theta_N) ... R_01(u - theta_1) } and the
-antiperiodic XXZ Hamiltonian as dense 2^N x 2^N arrays, and resolves the
-joint eigenbasis of H and t. This module is the exact-diagonalization
-oracle everything else is checked against. `apply_transfer` gives t(u) on a
-few vectors in O(N 2^N) work per u, without forming the matrix.
+Builds the six-vertex R-matrix and the antiperiodic XXZ Hamiltonian, and
+gives the twisted transfer matrix
+t(u) = tr_0{ sigma^x_0 R_0N(u - theta_N) ... R_01(u - theta_1) } on vectors:
+`apply_transfer` costs O(N 2^N) work per u and column, without forming the
+matrix. Every check of t(u) goes through it, including the joint eigenbasis
+of H and t and H rebuilt from t'(0). The dense 2^N x 2^N t(u) of
+`build_transfer_matrix` is only built for the eig of t(U_PROBE) in
+`transfer_eigenbasis` and as a test oracle. This module is the
+exact-diagonalization oracle everything else is checked against.
 
 Basis index bits are spins, site 1 the most significant bit, bit 0 = up.
 H is filled from bit arithmetic on these indices, in O(N 2^N) work, and the
@@ -19,16 +22,16 @@ import numpy as np
 from .model import (
     ED_CAP,
     ETA,
+    SINH_ETA,
     U_PROBE,
     CapacityError,
     DegeneracyResolutionError,
-    DegenerateAnisotropyError,
     ModelParams,
     SpectrumResult,
 )
 
 _HERM_TOL = 1e-10  # largest imaginary part or asymmetry taken as rounding
-_H_STEP = 1e-5  # finite-difference step for t'(0)
+_SLAB = 16  # columns per apply_transfer call in joint_eigenstates
 
 
 def _check_capacity(n: int):
@@ -36,22 +39,19 @@ def _check_capacity(n: int):
         raise CapacityError(f"n_sites={n} exceeds the dense cap of {ED_CAP}")
 
 
-def _r_weights(u, eta):
+def _r_weights(u):
     """The two R-matrix weights sinh(u + eta)/sinh(eta) and sinh(u)/sinh(eta)."""
-    se = np.sinh(eta)
-    if abs(se) < 1e-14:
-        raise DegenerateAnisotropyError("sinh(eta) = 0")
-    return np.sinh(u + eta) / se, np.sinh(u) / se
+    return np.sinh(u + ETA) / SINH_ETA, np.sinh(u) / SINH_ETA
 
 
-def build_r_matrix(u: complex, eta: complex = ETA) -> np.ndarray:
+def build_r_matrix(u: complex) -> np.ndarray:
     """4x4 six-vertex R-matrix on auxiliary (x) quantum space.
 
     Diagonal sinh(u + eta)/sinh(eta) in the aligned sectors, sinh(u)/sinh(eta)
     plus unit off-diagonal hopping in the mixed sector. R(0) is the
     permutation matrix.
     """
-    bp, bm = _r_weights(u, eta)
+    bp, bm = _r_weights(u)
     return np.array(
         [
             [bp, 0, 0, 0],
@@ -76,11 +76,11 @@ def build_hamiltonian(params: ModelParams) -> np.ndarray:
     """
     n = params.n_sites
     _check_capacity(n)
-    ch = complex(np.cosh(params.eta))
+    ch = np.cosh(ETA).real
     dim = 2**n
     idx = np.arange(dim)
     spins = (idx >> np.arange(n - 1, -1, -1)[:, None]) & 1  # row j-1: site j
-    diag = np.zeros(dim, dtype=complex)
+    diag = np.zeros(dim)
     hops = []
     for j in range(n):
         k = (j + 1) % n
@@ -93,9 +93,8 @@ def build_hamiltonian(params: ModelParams) -> np.ndarray:
         else:  # twisted boundary bond
             diag += ch * zz
             hops.append((idx[~anti], mask))
-    real = np.max(np.abs(diag.imag)) < 1e-12
-    h = np.zeros((dim, dim), dtype=float if real else complex)
-    h[idx, idx] = diag.real if real else diag
+    h = np.zeros((dim, dim))
+    h[idx, idx] = diag
     for src, mask in hops:
         h[src, src ^ mask] = -2.0
     return h
@@ -115,7 +114,7 @@ def build_transfer_matrix(u: complex, params: ModelParams) -> np.ndarray:
     o1 = np.ones((1, 1), dtype=complex)
     m = [[z1, o1], [o1, z1]]  # twist sigma^x in the auxiliary space
     for j in range(n, 0, -1):
-        r4 = build_r_matrix(u - theta[j - 1], params.eta)
+        r4 = build_r_matrix(u - theta[j - 1])
         r = [[r4[2 * a : 2 * a + 2, 2 * b : 2 * b + 2] for b in range(2)] for a in range(2)]
         m = [
             [sum(np.kron(r[c][b], m[a][c]) for c in range(2)) for b in range(2)]
@@ -136,7 +135,7 @@ def apply_transfer(u, params: ModelParams, vectors) -> np.ndarray:
     x = np.zeros((len(u), 2, 2, v.size), dtype=complex)
     x[:, 0, 0] = x[:, 1, 1] = v.ravel()
     for j, th in enumerate(params.theta_array):
-        bp, bm = (w[:, None, None, None] for w in _r_weights(u - th, params.eta))
+        bp, bm = (w[:, None, None, None] for w in _r_weights(u - th))
         y = x.reshape(len(u), 2, 2, 2**j, 2, -1)  # (u, start, aux, left, site j, right)
         x = np.empty_like(y)
         x[:, :, 0, :, 0] = bp * y[:, :, 0, :, 0]
@@ -197,16 +196,19 @@ def joint_eigenstates(params: ModelParams):
 
     H eigenspaces can be degenerate (the spin-flip pairing alone doubles
     every level), so each near-degenerate block is diagonalized again in
-    t(U_PROBE). Returns (energies ascending, eigenvector matrix) with columns
-    that are joint eigenstates.
+    t(U_PROBE). t(U_PROBE) is applied to the H eigenvectors a slab of
+    columns at a time, never formed. Returns (energies ascending,
+    eigenvector matrix) with columns that are joint eigenstates.
     """
-    vals, q = np.linalg.eigh(build_hamiltonian(params).real)
-    tp = build_transfer_matrix(U_PROBE, params)
+    vals, q = np.linalg.eigh(build_hamiltonian(params))
+    tq = np.empty(q.shape, dtype=complex)
+    for i in range(0, len(vals), _SLAB):
+        tq[:, i:i + _SLAB] = apply_transfer(U_PROBE, params, q[:, i:i + _SLAB])[0]
     vecs = q.astype(complex)
     for i, j in _degenerate_blocks(vals):
         if j - i > 1:
             block = vecs[:, i:j]
-            _, s = np.linalg.eig(block.conj().T @ tp @ block)
+            _, s = np.linalg.eig(block.conj().T @ tq[:, i:j])
             s /= np.linalg.norm(s, axis=0, keepdims=True)
             vecs[:, i:j] = block @ s
     return vals, vecs
@@ -242,21 +244,22 @@ def transfer_eigenvalue_on_state(u, params: ModelParams, state: np.ndarray):
     return lams[1:] if np.ndim(u) else complex(lams[1])
 
 
-def hamiltonian_from_transfer(params: ModelParams) -> np.ndarray:
-    """H reconstructed as -2 sinh(eta) t'(0) t(0)^{-1} + N cosh(eta).
+def hamiltonian_from_transfer(params: ModelParams, vectors) -> np.ndarray:
+    """H @ vectors, shape (2^N, K), as -2 sinh(eta) t'(0) t(0)^{-1} + N cosh(eta).
 
-    Central differences with one Richardson level: t'(0) ~= [8(t(h)-t(-h))
-    - (t(2h)-t(-2h))] / (12h). Only defined at the physical point.
+    Only defined at zero thetas. There t(0) is a permutation with
+    t(0)^N = U, the index reversal, so t(0)^{-1} X = t(0)^(N-1) X[::-1].
+    t(u) holds only the frequencies e^{fu}, f = -N..N, so one FFT of 2N+2
+    samples on the imaginary axis gives every coefficient and t'(0) exactly.
     """
     if any(abs(t) > 1e-14 for t in params.thetas):
         raise ValueError("transfer-derivative construction needs all thetas zero")
-    if abs(params.eta - ETA) > 1e-14:
-        raise ValueError("transfer-derivative construction is specialized to eta = i*pi/3")
     n = params.n_sites
-    t0 = build_transfer_matrix(0.0, params)
-    tp1, tm1, tp2, tm2 = (build_transfer_matrix(s * _H_STEP, params) for s in (1, -1, 2, -2))
-    dt = (8 * (tp1 - tm1) - (tp2 - tm2)) / (12 * _H_STEP)
-    h = -2 * np.sinh(params.eta) * dt @ np.linalg.inv(t0) + n * np.cosh(params.eta) * np.eye(2**n)
-    if np.max(np.abs(h.imag)) < 1e-6:
-        return h.real
-    return h
+    x = np.asarray(vectors, dtype=complex).reshape(2**n, -1)
+    y = x[::-1]
+    for _ in range(n - 1):
+        y = apply_transfer(0.0, params, y)[0]
+    m = 2 * n + 2
+    spec = np.fft.fft(apply_transfer(2j * np.pi * np.arange(m) / m, params, y), axis=0) / m
+    dt = np.tensordot(np.fft.fftfreq(m, 1 / m), spec, axes=1)
+    return -2 * SINH_ETA * dt + n * np.cosh(ETA) * x

@@ -6,8 +6,7 @@ dense, so exact diagonalization is capped at ED_CAP sites.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,10 +23,6 @@ U_PROBE = 0.1734 + 0.0912j
 
 class CapacityError(ValueError):
     """Requested chain length exceeds the dense-matrix cap."""
-
-
-class DegenerateAnisotropyError(ValueError):
-    """sinh(eta) = 0, the R-matrix normalization breaks down."""
 
 
 class DegeneracyResolutionError(RuntimeError):
@@ -64,7 +59,7 @@ class ConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Chain length, anisotropy and inhomogeneities.
+    """Chain length and inhomogeneities.
 
     thetas defaults to all zeros (the physical point). Identity-based
     verification needs pairwise distinct thetas, which callers draw from a
@@ -72,7 +67,6 @@ class ModelParams:
     """
 
     n_sites: int
-    eta: complex = ETA
     thetas: tuple = None  # type: ignore[assignment]
 
     def __post_init__(self):
@@ -85,7 +79,6 @@ class ModelParams:
         if len(thetas) != self.n_sites:
             raise ValueError("thetas must have exactly n_sites entries")
         object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "eta", complex(self.eta))
 
     @property
     def theta_array(self) -> np.ndarray:
@@ -194,11 +187,9 @@ class ZeroPointSet:
     """
 
     zeros: np.ndarray
-    eta: complex = ETA
     energy: float | None = None
     residual: float | None = None
     iterations: int | None = None
-    pattern: RootPattern | None = None
     quantum_numbers: QuantumNumberSet | None = None
 
     def __post_init__(self):
@@ -206,7 +197,7 @@ class ZeroPointSet:
 
     @property
     def shifted(self) -> np.ndarray:
-        return self.zeros + self.eta / 2
+        return self.zeros + ETA / 2
 
     @property
     def n_sites(self) -> int:
@@ -229,6 +220,7 @@ class SpectralFunction:
     lambda0: complex
     zeros: tuple
     fit_residuals: tuple | None = None  # bilinear diagnostics from the fit
+    band_weight: float | None = None  # off-band Fourier weight of the samples
 
     def __post_init__(self):
         object.__setattr__(self, "zeros", tuple(complex(z) for z in self.zeros))
@@ -248,7 +240,6 @@ class DensityProfile:
 
     smooth: object  # callable lam -> density value
     holes: tuple = ()
-    system_size: float = math.inf
 
     def total_integral(self, cutoff: float = 40.0) -> float:
         from scipy.integrate import quad
@@ -261,17 +252,15 @@ class DensityProfile:
 
 @dataclass(frozen=True)
 class ExcitationSpec:
-    """One elementary excitation over the ground sea."""
+    """One elementary excitation over the ground sea; a type_II string
+    drags a bulk hole along at its own center alpha."""
 
     kind: str  # "type_I" | "type_II"
     alpha: float
-    hole: float | None = None  # type_II bulk hole; equals alpha
 
     def __post_init__(self):
         if self.kind not in ("type_I", "type_II"):
             raise ValueError(f"unknown excitation kind {self.kind!r}")
-        if self.kind == "type_II" and self.hole is None:
-            object.__setattr__(self, "hole", self.alpha)
 
 
 @dataclass(frozen=True)

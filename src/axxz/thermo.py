@@ -109,11 +109,7 @@ def ground_profile(hole_pos: float, n) -> DensityProfile:
     holes = ()
     if np.isfinite(n):
         holes = ((-hole_pos, -1 / (3 * n)), (hole_pos, -1 / (3 * n)))
-    return DensityProfile(
-        smooth=lambda x: rho_ground(x, hole_pos, n),
-        holes=holes,
-        system_size=n,
-    )
+    return DensityProfile(smooth=lambda x: rho_ground(x, hole_pos, n), holes=holes)
 
 
 def hole_delta(hole_pos: float) -> float:
@@ -186,9 +182,9 @@ def excitation_energy(spec: ExcitationSpec) -> float:
 def delta_rho(spec: ExcitationSpec, lam, n) -> float:
     """Smooth density shift induced by one excitation at system size n.
 
-    type_I: -(1/n) * rho_bulk(lam - alpha). type_II: the sech pair around
-    alpha and the bulk hole it drags along; the hole's -1/n delta atom is
-    carried by excitation_profile, not sampled here.
+    type_I: -(1/n) * rho_bulk(lam - alpha). type_II: one sech around alpha
+    from the string and one from the bulk hole it drags along to alpha; the
+    hole's -1/n delta atom is carried by excitation_profile, not sampled here.
     """
     if not np.isfinite(n):
         raise ValueError("density shifts are O(1/n); pass a finite n")
@@ -196,23 +192,13 @@ def delta_rho(spec: ExcitationSpec, lam, n) -> float:
     if spec.kind == "type_I":
         out = -rho_bulk(lam - spec.alpha) / n
     else:
-        lh = spec.hole if spec.hole is not None else spec.alpha
-        out = -(3 / (4 * np.pi * n)) * (
-            1 / np.cosh(1.5 * (lam - spec.alpha)) + 1 / np.cosh(1.5 * (lam - lh))
-        )
+        out = -(3 / (2 * np.pi * n)) * (1 / np.cosh(1.5 * (lam - spec.alpha)))
     return out if np.ndim(out) else float(out)
 
 
 def excitation_profile(spec: ExcitationSpec, n) -> DensityProfile:
-    holes = ()
-    if spec.kind == "type_II":
-        lh = spec.hole if spec.hole is not None else spec.alpha
-        holes = ((lh, -1 / n),)
-    return DensityProfile(
-        smooth=lambda x: delta_rho(spec, x, n),
-        holes=holes,
-        system_size=n,
-    )
+    holes = ((spec.alpha, -1 / n),) if spec.kind == "type_II" else ()
+    return DensityProfile(smooth=lambda x: delta_rho(spec, x, n), holes=holes)
 
 
 def excitation_energy_quadrature(spec: ExcitationSpec) -> float:
@@ -229,19 +215,12 @@ def excitation_energy_quadrature(spec: ExcitationSpec) -> float:
             root_terms=(a - 2j * np.pi / 3,),
         )
     else:
-        lh = spec.hole if spec.hole is not None else spec.alpha
-
-        def shift(x):
-            return -(3 / (4 * np.pi)) * (
-                1 / np.cosh(1.5 * (x - a)) + 1 / np.cosh(1.5 * (x - lh))
-            )
-
         val = _energy_quadrature(
-            shift,
-            extra_points=(a, lh),
+            lambda x: -(3 / (2 * np.pi)) * (1 / np.cosh(1.5 * (x - a))),
+            extra_points=(a,),
             root_terms=(a + 1j * np.pi / 6, a - 1j * np.pi / 2),
         )
-        val -= 1j * SQ3 * _coth(lh - 1j * np.pi / 6)  # the dragged bulk hole
+        val -= 1j * SQ3 * _coth(a - 1j * np.pi / 6)  # the dragged bulk hole
     if abs(val.imag) > 1e-8:
         raise ConsistencyError(f"dispersion quadrature came out complex: {val}")
     return float(val.real)
@@ -264,17 +243,15 @@ def smatrix(process: str, alpha1: float, alpha2: float) -> ScatteringAmplitude:
     return ScatteringAmplitude(process=process, alphas=(alpha1, alpha2), value=complex(value))
 
 
-def solve_density_equation(inhomogeneity, lo: float = -20.0, hi: float = 20.0,
-                           n_points: int = 4001, tol: float = 1e-13,
-                           max_sweeps: int = 500):
-    """Fixed point of f = inhomogeneity + a_2 * f by trapezoid iteration.
+def solve_density_equation(inhomogeneity, n_points: int = 4001):
+    """Fixed point of f = inhomogeneity + a_2 * f by trapezoid iteration on [-20, 20].
 
     Returns (grid, solution). Direct numerical oracle for the Fourier-derived
     closed forms; the kernel has L1 norm 1/3 so the iteration contracts fast.
     """
     from scipy.linalg import toeplitz
 
-    grid = np.linspace(lo, hi, n_points)
+    grid = np.linspace(-20.0, 20.0, n_points)
     h = grid[1] - grid[0]
     wts = np.full(n_points, h)
     wts[0] = wts[-1] = h / 2
@@ -282,21 +259,21 @@ def solve_density_equation(inhomogeneity, lo: float = -20.0, hi: float = 20.0,
     kernel *= wts
     g = np.asarray(inhomogeneity(grid), dtype=float)
     f = g.copy()
-    for _ in range(max_sweeps):
+    for _ in range(500):
         new = g + kernel @ f
         delta = np.max(np.abs(new - f))
         f = new
-        if delta < tol:
+        if delta < 1e-13:
             break
     return grid, f
 
 
-def finite_size_density_check(sets, profile: DensityProfile, window: float = 1.5) -> dict:
+def finite_size_density_check(sets, profile: DensityProfile) -> dict:
     """Empirical root densities versus a smooth profile, per system size.
 
     Each entry of sets must be a converged ground-like solution with real,
     ascending shifted roots; the empirical density at midpoints is
-    1/(N * spacing). Reports the max deviation inside |lam| <= window and
+    1/(N * spacing). Reports the max deviation inside |lam| <= 1.5 and
     whether the deviation trend is non-increasing in N.
     """
     rows = []
@@ -310,13 +287,13 @@ def finite_size_density_check(sets, profile: DensityProfile, window: float = 1.5
         n = zps.n_sites
         mids = 0.5 * (lam[1:] + lam[:-1])
         emp = 1.0 / (n * np.diff(lam))
-        mask = np.abs(mids) <= window
+        mask = np.abs(mids) <= 1.5
         dev = np.max(np.abs(emp[mask] - np.asarray(profile.smooth(mids[mask]), dtype=float)))
         rows.append({"n": n, "max_deviation": float(dev), "filling": (len(lam)) / n})
     rows.sort(key=lambda r: r["n"])
     devs = [r["max_deviation"] for r in rows]
     return {
         "per_size": rows,
-        "window": window,
+        "window": 1.5,
         "trend_non_increasing": all(b <= a * 1.05 for a, b in zip(devs, devs[1:])),
     }

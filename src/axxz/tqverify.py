@@ -115,8 +115,10 @@ def spectral_function_from_state(state: np.ndarray, params: ModelParams) -> Spec
     Lambda(u) e^{(N-1)u} is a degree N-1 polynomial in x = e^{2u}, whose
     coefficients are read off the FFT of 4N samples on the imaginary axis;
     its roots are e^{2 z_j} and its leading coefficient carries lambda0.
+    The off-band weight of the same FFT (see functional_form_check) travels
+    with the result as band_weight.
     """
-    coeff, _ = _sampled_spectrum(state, params)
+    coeff, off = _sampled_spectrum(state, params)
     if abs(coeff[-1]) < 1e-10 * np.max(np.abs(coeff)):
         raise InconsistentZeroSetError(
             "sampled eigenvalue has deficient degree; not a generic eigenvector"
@@ -124,7 +126,7 @@ def spectral_function_from_state(state: np.ndarray, params: ModelParams) -> Spec
     roots = np.roots(coeff[::-1])
     z = canonicalize(np.log(roots) / 2)
     lam0 = coeff[-1] * 2 ** (len(coeff) - 1) * np.exp(np.sum(z))
-    return SpectralFunction(lambda0=complex(lam0), zeros=tuple(z))
+    return SpectralFunction(lambda0=complex(lam0), zeros=tuple(z), band_weight=off)
 
 
 def functional_form_check(state: np.ndarray, params: ModelParams) -> float:

@@ -69,7 +69,7 @@ def test_criterion_4_transfer_family_structure():
     for n in (2, 4, 6):
         params = ModelParams(n_sites=n)
         h = core.build_hamiltonian(params)
-        ht = core.hamiltonian_from_transfer(params)
+        ht = core.hamiltonian_from_transfer(params, np.eye(2**n))
         assert np.linalg.norm(ht - h) / np.linalg.norm(h) < 1e-6
 
 

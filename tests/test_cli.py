@@ -110,6 +110,24 @@ class TestVerify:
         names = {c["name"] for c in doc["checks"]}
         assert "bilinear_identity" in names and "cubic_identity" in names
 
+    @pytest.mark.parametrize("argv, builds", [([], 0), (["--seed", "1"], 1)],
+                             ids=["homogeneous", "seeded"])
+    def test_dense_transfer_builds(self, capsys, monkeypatch, argv, builds):
+        # only the eig of t(probe) in transfer_eigenbasis needs the dense operator
+        from axxz import core
+
+        calls = []
+        dense = core.build_transfer_matrix
+
+        def counting(*args, **kw):
+            calls.append(args[0])
+            return dense(*args, **kw)
+
+        monkeypatch.setattr(core, "build_transfer_matrix", counting)
+        monkeypatch.setattr(cli, "build_transfer_matrix", counting)
+        code, _, _ = run(capsys, "verify", "--n", "6", *argv)
+        assert code == 0 and len(calls) == builds
+
     def test_size_cap(self, capsys):
         code, _, _ = run(capsys, "verify", "--n", "10")
         assert code == 2

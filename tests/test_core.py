@@ -13,7 +13,6 @@ from axxz.model import (
     ETA,
     U_PROBE,
     CapacityError,
-    DegenerateAnisotropyError,
     DegeneracyResolutionError,
     ModelParams,
     QuantumNumberSet,
@@ -33,7 +32,7 @@ def rel(a, b):
 
 def kron_hamiltonian(params):
     """The defining H, with Paulis lifted by Kronecker products (site 1 leftmost)."""
-    n, ch = params.n_sites, np.cosh(params.eta)
+    n, ch = params.n_sites, np.cosh(ETA)
 
     def lift(op, site):
         return np.kron(np.kron(np.eye(2 ** (site - 1)), op), np.eye(2 ** (n - site)))
@@ -75,10 +74,6 @@ class TestRMatrix:
         z1 = np.kron(SZ, np.eye(2))
         lhs = core.build_r_matrix(u + 1j * np.pi)
         assert np.allclose(lhs, -z1 @ core.build_r_matrix(u) @ z1, atol=1e-12)
-
-    def test_degenerate_anisotropy(self):
-        with pytest.raises(DegenerateAnisotropyError):
-            core.build_r_matrix(0.3, eta=1j * np.pi)
 
 
 class TestHamiltonian:
@@ -154,13 +149,32 @@ class TestTransfer:
 
     def test_hamiltonian_from_transfer(self, params6):
         h = core.build_hamiltonian(params6)
-        ht = core.hamiltonian_from_transfer(params6)
+        ht = core.hamiltonian_from_transfer(params6, np.eye(64))
         assert rel(ht, h) < 1e-6
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_hamiltonian_from_transfer_on_vectors(self, n):
+        # the FFT gives t'(0) exactly, so H X comes out at rounding level
+        rng = np.random.default_rng(300 + n)
+        params = ModelParams(n_sites=n)
+        x = rng.normal(size=(2**n, 3)) + 1j * rng.normal(size=(2**n, 3))
+        assert rel(core.hamiltonian_from_transfer(params, x),
+                   core.build_hamiltonian(params) @ x) <= 1e-13
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_t0_power_n_is_spin_flip(self, n):
+        # at zero thetas t(0)^N = U, which hamiltonian_from_transfer uses to invert t(0)
+        params = ModelParams(n_sites=n)
+        x = np.random.default_rng(400 + n).normal(size=2**n)
+        y = x
+        for _ in range(n):
+            y = core.apply_transfer(0.0, params, y)[0]
+        assert np.array_equal(y[:, 0], x[::-1])
 
     def test_hamiltonian_from_transfer_needs_homogeneous(self):
         params = ModelParams(n_sites=4, thetas=(0.1, 0.0, 0.0, 0.0))
         with pytest.raises(ValueError):
-            core.hamiltonian_from_transfer(params)
+            core.hamiltonian_from_transfer(params, np.eye(16))
 
 
 class TestApplyTransfer:
@@ -204,6 +218,16 @@ class TestEigenstates:
         mixed = vecs[:, 0] + vecs[:, 5]
         with pytest.raises(DegeneracyResolutionError):
             core.transfer_eigenvalue_on_state(0.2, params6, mixed)
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_joint_basis_diagonalizes_probe(self, n):
+        params = ModelParams(n_sites=n)
+        vals, vecs = core.joint_eigenstates(params)
+        assert np.max(np.abs(vals - np.linalg.eigvalsh(core.build_hamiltonian(params)))) < 1e-12
+        tv = core.build_transfer_matrix(U_PROBE, params) @ vecs
+        lam = np.einsum("ij,ij->j", vecs.conj(), tv) / np.einsum("ij,ij->j", vecs.conj(), vecs)
+        resid = np.linalg.norm(tv - lam * vecs, axis=0) / np.linalg.norm(tv, axis=0)
+        assert np.max(resid) <= 1e-10
 
     def test_transfer_eigenbasis_spans_family(self, rng):
         params = ModelParams(n_sites=4, thetas=tuple(rng.uniform(-0.1, 0.1, 4)))

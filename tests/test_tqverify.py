@@ -81,6 +81,11 @@ class TestExtraction:
         _, vecs = joint6
         assert tqverify.functional_form_check(vecs[:, 10], params6) < 1e-10
 
+    def test_band_weight_comes_with_the_extraction(self, params6, joint6):
+        _, vecs = joint6
+        f = tqverify.spectral_function_from_state(vecs[:, 10], params6)
+        assert f.band_weight == tqverify.functional_form_check(vecs[:, 10], params6)
+
     def test_extraction_propagates_mixed_state_error(self, params6, joint6):
         from axxz.model import DegeneracyResolutionError
 
