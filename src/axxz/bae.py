@@ -202,9 +202,8 @@ def type_two_numbers(n: int, position: int) -> QuantumNumberSet:
     if not 1 <= position <= n - 2:
         raise ValueError(f"position {position} outside 1..{n - 2}")
     slots = sorted(_half_odd(n - 2), reverse=True)
-    gap = slots.pop(position - 1)
+    slots.pop(position - 1)
     k = (n - 1) / 2 - position
-    del gap
     return QuantumNumberSet(
         bulk=tuple(slots),
         excitations=(Excitation("type_II", k),),
@@ -271,7 +270,7 @@ def _by_kernel(fn, x, m):
     return out
 
 
-def _refine_centres(x, cls, numbers, n, tol=1e-13, max_iter=60):
+def _refine_centres(x, cls, numbers, n):
     """Real Newton on the idealized logarithmic system of all centres.
 
     x holds the starting centres, cls their classes and numbers their
@@ -282,7 +281,8 @@ def _refine_centres(x, cls, numbers, n, tol=1e-13, max_iter=60):
 
     with d, s and m read off the classes of i and j (_DRIVE, _SIGN,
     _KERNEL). The Jacobian follows from theta_m' = 2 pi a_m; the steps
-    backtrack until the residual norm drops.
+    backtrack until the residual norm drops, and the residual of the
+    accepted trial is reused. It stops when |F| < 1e-13 or after 60 steps.
     """
     drive = _DRIVE[cls]
     sign = _SIGN[cls[:, None], cls[None, :]]
@@ -295,10 +295,12 @@ def _refine_centres(x, cls, numbers, n, tol=1e-13, max_iter=60):
         np.fill_diagonal(th, 0.0)
         return _by_kernel(thermo.theta_m, x, drive) + th.sum(axis=1) / n - 2 * np.pi * numbers / n
 
-    for _ in range(max_iter):
-        f = system(x)
+    f = None  # residual at x, carried over from an accepted line-search trial
+    for _ in range(60):
+        if f is None:
+            f = system(x)
         norm = np.linalg.norm(f)
-        if norm < tol:
+        if norm < 1e-13:
             break
         d = x[:, None] - x[None, :]
         a = _by_kernel(thermo.a_m, d, kern)
@@ -310,9 +312,12 @@ def _refine_centres(x, cls, numbers, n, tol=1e-13, max_iter=60):
         step = np.linalg.solve(jac, -f)
         scale = 1.0
         for _ in range(30):
-            if np.linalg.norm(system(x + scale * step)) < norm:
+            f = system(x + scale * step)
+            if np.linalg.norm(f) < norm:
                 break
             scale /= 2
+        else:  # every halving refused: the step taken below was never tried
+            f = None
         x = x + scale * step
     return x
 
@@ -364,35 +369,20 @@ def classify_roots(zeros, tol: float = 0.05) -> RootPattern:
     """
     zps = zeros if isinstance(zeros, ZeroPointSet) else ZeroPointSet(zeros=_zeros_of(zeros))
     lam = canonicalize(zps.shifted)
-    labels = []
-    real_roots, half_line, ups, downs, others = [], [], [], [], []
-    for x in lam:
-        im = x.imag
-        if abs(im) < tol:
-            labels.append("real")
-            real_roots.append(float(x.real))
-        elif abs(abs(im) - np.pi / 2) < tol:
-            labels.append("half_line")
-            half_line.append(float(x.real))
-        elif abs(im - np.pi / 3) < tol:
-            labels.append("string_up")
-            ups.append(float(x.real))
-        elif abs(im + np.pi / 3) < tol:
-            labels.append("string_down")
-            downs.append(float(x.real))
-        else:
-            labels.append("other")
-            others.append(complex(x))
+    im = lam.imag
+    # line index per root, the first line that fits: real, half, up, down, other
+    line = np.select([abs(im) < tol, abs(abs(im) - np.pi / 2) < tol,
+                      abs(im - np.pi / 3) < tol, abs(im + np.pi / 3) < tol], [0, 1, 2, 3], 4)
+    real_roots, half_line, ups, downs = (np.sort(lam.real[line == k]).tolist() for k in range(4))
+    others = [complex(x) for x in lam[line == 4]]
     strings = []
-    ups_left = sorted(ups)
-    for d in sorted(downs):
-        if not ups_left:
+    for d in downs:
+        if not ups:
             others.append(complex(d, -np.pi / 3))
             continue
-        i = int(np.argmin([abs(u - d) for u in ups_left]))
-        strings.append(0.5 * (ups_left.pop(i) + d))
-    for u in ups_left:
-        others.append(complex(u, np.pi / 3))
+        i = int(np.argmin([abs(u - d) for u in ups]))
+        strings.append(0.5 * (ups.pop(i) + d))
+    others += [complex(u, np.pi / 3) for u in ups]
 
     if others:
         warnings.warn(f"{len(others)} root(s) fit no pattern line within {tol}")
@@ -406,9 +396,8 @@ def classify_roots(zeros, tol: float = 0.05) -> RootPattern:
     else:
         name = "mixed"
     return RootPattern(
-        labels=tuple(labels),
-        real_roots=tuple(sorted(real_roots)),
-        half_line=tuple(sorted(half_line)),
+        real_roots=tuple(real_roots),
+        half_line=tuple(half_line),
         strings=tuple(sorted(strings)),
         others=tuple(others),
         name=name,

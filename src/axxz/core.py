@@ -145,12 +145,12 @@ def apply_transfer(u, params: ModelParams, vectors) -> np.ndarray:
     return (x[:, 0, 1] + x[:, 1, 0]).reshape(len(u), len(v), -1)
 
 
-def _degenerate_blocks(vals: np.ndarray, tol: float = 1e-8):
-    """Yield (start, stop) of each run of ascending levels within tol of its first."""
+def _degenerate_blocks(vals: np.ndarray):
+    """Yield (start, stop) of each run of ascending levels within 1e-8 of its first."""
     i, dim = 0, len(vals)
     while i < dim:
         j = i + 1
-        while j < dim and vals[j] - vals[i] < tol:
+        while j < dim and vals[j] - vals[i] < 1e-8:
             j += 1
         yield i, j
         i = j

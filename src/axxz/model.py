@@ -14,7 +14,7 @@ ETA = 1j * np.pi / 3
 SINH_ETA = np.sinh(ETA)  # i*sqrt(3)/2
 COSH_ETA = 0.5  # cosh(i*pi/3) exactly
 
-ED_CAP = 12  # 2^12 x 2^12 dense complex is the practical ceiling here
+ED_CAP = 12  # 2^12 x 2^12 dense real (128 MiB) is the practical ceiling here
 
 # generic probe point used to split degenerate H-eigenspaces with t(u0);
 # any u0 away from the identity points and their eta-shifts works
@@ -165,7 +165,6 @@ class QuantumNumberSet:
 class RootPattern:
     """Classification of shifted roots by their imaginary-part lines."""
 
-    labels: tuple  # per-root: "real" | "half_line" | "string_up" | "string_down" | "other"
     real_roots: tuple
     half_line: tuple  # real centers of Im = -pi/2 (mod pi) roots
     strings: tuple  # real centers of paired +-pi/3 roots
@@ -204,9 +203,8 @@ class ZeroPointSet:
         return len(self.zeros) + 1
 
     @classmethod
-    def from_shifted(cls, lambdas, **kw) -> "ZeroPointSet":
-        lam = np.asarray(lambdas, dtype=complex)
-        return cls(zeros=lam - ETA / 2, **kw)
+    def from_shifted(cls, lambdas) -> "ZeroPointSet":
+        return cls(zeros=np.asarray(lambdas, dtype=complex) - ETA / 2)
 
 
 @dataclass(frozen=True)

@@ -319,6 +319,49 @@ class TestSeeding:
         assert np.max(np.abs(bae.bae_residual(zps, params))) < 1e-10
         assert len(bae.classify_roots(zps, tol=0.1).half_line) == 1
 
+    @staticmethod
+    def _record_drive_calls(monkeypatch, theta):
+        """Record the 1-D argument of each thermo.theta_m call. For a ground
+        labeling that is the drive term, one call per residual of the
+        idealized system."""
+        calls = []
+        real = thermo.theta_m
+
+        def recording(x, m):
+            if np.ndim(x) == 1:
+                calls.append(np.array(x, copy=True))
+                return theta(x, m)
+            return real(x, m)
+
+        monkeypatch.setattr(thermo, "theta_m", recording)
+        return calls
+
+    def test_residual_not_recomputed_at_accepted_point(self, monkeypatch):
+        params = ModelParams(n_sites=64)
+        calls = self._record_drive_calls(monkeypatch, thermo.theta_m)
+        bae.seed_from_quantum_numbers(bae.ground_numbers(64), params)
+        assert len(calls) > 2
+        assert not any(np.array_equal(a, b) for a, b in zip(calls, calls[1:]))
+
+    def test_residual_recomputed_after_refused_line_search(self, monkeypatch):
+        # a drive term that grows on every call refuses all 30 halvings, so
+        # the point taken (step / 2^30) differs from the last trial evaluated
+        class Stop(Exception):
+            pass
+
+        def growing(x, m):
+            if len(calls) == 62:
+                raise Stop
+            return np.full(len(x), 1e3 * len(calls))
+
+        params = ModelParams(n_sites=8)
+        calls = self._record_drive_calls(monkeypatch, growing)
+        with pytest.raises(Stop):
+            bae.seed_from_quantum_numbers(bae.ground_numbers(8), params)
+        assert len(calls) == 62  # per iteration: the new point, then 30 trials
+        assert not np.array_equal(calls[31], calls[30])
+        assert not np.array_equal(calls[31], calls[0])
+
     def test_ground_scaling_script_runs(self):
         root = Path(__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -1,10 +1,15 @@
 """Closed-form thermodynamics against independent numerical oracles.
 
 Every closed form is cross-checked here by quadrature, Fourier transform,
-or fixed-point iteration of the underlying integral equation, never against
+or a direct solve of the discretized integral equation, never against
 itself.
 """
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,18 +96,24 @@ class TestDensities:
 
         grid, f = thermo.solve_density_equation(source, n_points=801)
         h = grid[1] - grid[0]
-        wts = np.full(len(grid), h)
-        wts[0] = wts[-1] = h / 2
-        kernel = thermo.a_m(grid[:, None] - grid[None, :], 2) * wts[None, :]
-        g = source(grid)
-        ref = g.copy()
-        for _ in range(500):
-            new = g + kernel @ ref
-            delta = np.max(np.abs(new - ref))
-            ref = new
-            if delta < 1e-13:
-                break
+        kernel = thermo.a_m(grid[:, None] - grid[None, :], 2)
+        ref = np.linalg.solve(np.eye(len(grid)) - h * kernel, source(grid))
         assert np.max(np.abs(f - ref)) < 1e-14
+
+    def test_density_solve_forms_no_dense_kernel(self):
+        # a dense 4001 x 4001 float kernel alone would take 128 MB; the small
+        # warm-up solve keeps the scipy import out of the traced peak
+        def source(x):
+            return thermo.a_m(x, 1)
+
+        thermo.solve_density_equation(source, n_points=201)
+        tracemalloc.start()
+        try:
+            thermo.solve_density_equation(source, n_points=4001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_bulk_density_normalized(self):
         val, _ = quad(thermo.rho_bulk, -40, 40, limit=200)
@@ -192,6 +203,19 @@ class TestEnergies:
                 closed = thermo.excitation_energy(spec)
                 quadr = thermo.excitation_energy_quadrature(spec)
                 assert abs(closed - quadr) < 1e-8
+
+    def test_dispersion_scan_script_runs(self):
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (str(root / "src"), os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "dispersion_scan.py"), "--points", "3"],
+            capture_output=True, text=True, timeout=120, check=False, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        last = proc.stdout.strip().splitlines()[-1]
+        assert last.startswith("worst closed-form vs quadrature deviation:")
+        assert float(last.split(":")[1]) < 1e-8
 
     def test_consistency_guard_fires_on_broken_cache(self, monkeypatch):
         monkeypatch.setattr(thermo, "E_GROUND_DENSITY", -1.0)
