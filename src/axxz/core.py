@@ -13,7 +13,10 @@ exact-diagonalization oracle everything else is checked against.
 Basis index bits are spins, site 1 the most significant bit, bit 0 = up.
 H is filled from bit arithmetic on these indices, in O(N 2^N) work, and the
 spin flip U = prod sigma^x maps index i to 2^N - 1 - i, so U acts on a
-vector or on matrix rows by reversal.
+vector or on matrix rows by reversal. The twisted translation
+G = sigma^x_1 T (T the cyclic shift) is a bit rotation with one flip; it
+commutes with H and every t(u) and G^N = U, so the joint eigenbasis is
+built in the 2N momentum sectors of G.
 """
 from __future__ import annotations
 
@@ -37,6 +40,11 @@ _SLAB = 16  # columns per apply_transfer call in joint_eigenstates
 def _check_capacity(n: int):
     if n > ED_CAP:
         raise CapacityError(f"n_sites={n} exceeds the dense cap of {ED_CAP}")
+
+
+def _check_zero_thetas(params: ModelParams, what: str):
+    if any(abs(t) > 1e-14 for t in params.thetas):
+        raise ValueError(f"{what} needs all thetas zero")
 
 
 def _r_weights(u):
@@ -191,27 +199,69 @@ def diagonalize_symmetric(m: np.ndarray, want_vectors: bool = True) -> SpectrumR
     return SpectrumResult(eigenvalues=vals, eigenvectors=vecs, parity=parity)
 
 
-def joint_eigenstates(params: ModelParams):
-    """Common eigenbasis of H and the transfer family.
+def _twisted_orbits(n: int):
+    """Orbits of the twisted translation G = sigma^x_1 T on basis indices.
 
-    H eigenspaces can be degenerate (the spin-flip pairing alone doubles
-    every level), so each near-degenerate block is diagonalized again in
-    t(U_PROBE). t(U_PROBE) is applied to the H eigenvectors a slab of
-    columns at a time, never formed. Returns (energies ascending,
+    G shifts every spin one site on and flips the one that wraps round to
+    site 1, so G^N = U and every orbit length L_b divides 2N. Returns a
+    (n_orbits, 2N) table whose row b is G^m r_b for m = 0..2N-1, r_b the
+    smallest index of orbit b, and the lengths L_b.
+    """
+    g = np.empty((2 * n, 2**n), dtype=np.int64)
+    g[0] = np.arange(2**n)
+    for m in range(1, 2 * n):
+        g[m] = ((g[m - 1] >> 1) | (g[m - 1] & 1) << (n - 1)) ^ (1 << (n - 1))
+    reps, lengths = np.unique(g.min(axis=0), return_counts=True)
+    return g[:, reps].T, lengths
+
+
+def joint_eigenstates(params: ModelParams):
+    """Common eigenbasis of H and the transfer family, at zero thetas.
+
+    G = sigma^x_1 T commutes with H and every t(u), so the basis splits into
+    2N sectors with G = e^{i pi k / N}. Sector k holds the orbits with
+    k L_b = 0 mod 2N, spanned by |b, k> = sum_{m < L_b} e^{-i pi k m / N}
+    |G^m r_b> / sqrt(L_b). One FFT over d of H[r_a, G^d r_b] gives every
+    sector block, and each block gets its own eigh. Only levels still
+    degenerate inside one sector are rotated into eigenvectors of
+    t(U_PROBE), applied to those columns alone. Returns (energies ascending,
     eigenvector matrix) with columns that are joint eigenstates.
     """
-    vals, q = np.linalg.eigh(build_hamiltonian(params))
-    tq = np.empty(q.shape, dtype=complex)
-    for i in range(0, len(vals), _SLAB):
-        tq[:, i:i + _SLAB] = apply_transfer(U_PROBE, params, q[:, i:i + _SLAB])[0]
-    vecs = q.astype(complex)
-    for i, j in _degenerate_blocks(vals):
-        if j - i > 1:
-            block = vecs[:, i:j]
-            _, s = np.linalg.eig(block.conj().T @ tq[:, i:j])
-            s /= np.linalg.norm(s, axis=0, keepdims=True)
-            vecs[:, i:j] = block @ s
-    return vals, vecs
+    _check_zero_thetas(params, "joint eigenbasis")
+    n = params.n_sites
+    table, lengths = _twisted_orbits(n)
+    # blocks[k, a, b] = <a, k|H|b, k>, from H[r_a, G^d r_b] at d = 0..2N-1
+    blocks = np.fft.fft(build_hamiltonian(params)[table[:, 0, None], table.T[:, None]], axis=0)
+    blocks *= np.sqrt(np.outer(lengths, lengths)) / (2 * n)
+    sectors = []
+    for k in range(2 * n):
+        sel = np.flatnonzero(k * lengths % (2 * n) == 0)
+        sectors.append((k, sel, *np.linalg.eigh(blocks[k][np.ix_(sel, sel)])))
+    sizes = [len(w) for _, _, w, _ in sectors]
+    vals = np.concatenate([w for _, _, w, _ in sectors])
+    order = np.argsort(vals, kind="stable")
+    slots = np.empty_like(order)
+    slots[order] = np.arange(len(order))
+
+    # columns go straight into their sorted slots; a reorder would copy 2^N x 2^N
+    vecs = np.zeros((2**n, 2**n), dtype=complex)
+    deg = []
+    for (k, sel, w, c), slot in zip(sectors, np.split(slots, np.cumsum(sizes)[:-1])):
+        orb, m = np.nonzero(np.arange(2 * n) < lengths[sel][:, None])
+        amp = np.exp(-1j * np.pi * k * m / n) / np.sqrt(lengths[sel][orb])
+        vecs[table[sel][orb, m][:, None], slot] = amp[:, None] * c[orb]
+        deg += [slot[i:j] for i, j in _degenerate_blocks(w) if j - i > 1]
+    cols = np.concatenate(deg) if deg else np.zeros(0, dtype=int)
+    x = vecs[:, cols]
+    tx = np.empty_like(x)
+    for i in range(0, len(cols), _SLAB):
+        tx[:, i:i + _SLAB] = apply_transfer(U_PROBE, params, x[:, i:i + _SLAB])[0]
+    bounds = np.cumsum([len(blk) for blk in deg])[:-1]
+    for blk, xb, tb in zip(deg, np.split(x, bounds, axis=1), np.split(tx, bounds, axis=1)):
+        _, s = np.linalg.eig(xb.conj().T @ tb)
+        s /= np.linalg.norm(s, axis=0, keepdims=True)
+        vecs[:, blk] = xb @ s
+    return vals[order], vecs
 
 
 def transfer_eigenbasis(params: ModelParams):
@@ -252,8 +302,7 @@ def hamiltonian_from_transfer(params: ModelParams, vectors) -> np.ndarray:
     t(u) holds only the frequencies e^{fu}, f = -N..N, so one FFT of 2N+2
     samples on the imaginary axis gives every coefficient and t'(0) exactly.
     """
-    if any(abs(t) > 1e-14 for t in params.thetas):
-        raise ValueError("transfer-derivative construction needs all thetas zero")
+    _check_zero_thetas(params, "transfer-derivative construction")
     n = params.n_sites
     x = np.asarray(vectors, dtype=complex).reshape(2**n, -1)
     y = x[::-1]

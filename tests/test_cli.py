@@ -277,12 +277,13 @@ class TestOutput:
         src = str(Path(axxz.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, axxz, axxz.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-            capture_output=True, text=True, timeout=60, check=True, env=env,
-        )
-        assert proc.stdout.strip() == "[]"
+        for call in ("", "axxz.cli.main(['thermo', '--quantity', 'eg']); "):
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys, axxz, axxz.cli; " + call +
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+                capture_output=True, text=True, timeout=60, check=True, env=env,
+            )
+            assert proc.stdout.strip().splitlines()[-1] == "[]", call
 
     def test_json_round_trip_is_exact(self, capsys):
         _, out, _ = run(capsys, "bae", "--n", "6", "--format", "json")

@@ -219,7 +219,7 @@ class TestEigenstates:
         with pytest.raises(DegeneracyResolutionError):
             core.transfer_eigenvalue_on_state(0.2, params6, mixed)
 
-    @pytest.mark.parametrize("n", [8, 10])
+    @pytest.mark.parametrize("n", range(2, 11))
     def test_joint_basis_diagonalizes_probe(self, n):
         params = ModelParams(n_sites=n)
         vals, vecs = core.joint_eigenstates(params)
@@ -228,6 +228,35 @@ class TestEigenstates:
         lam = np.einsum("ij,ij->j", vecs.conj(), tv) / np.einsum("ij,ij->j", vecs.conj(), vecs)
         resid = np.linalg.norm(tv - lam * vecs, axis=0) / np.linalg.norm(tv, axis=0)
         assert np.max(resid) <= 1e-10
+        assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(2**n))) < 1e-12
+
+    def test_joint_basis_rejects_thetas(self):
+        with pytest.raises(ValueError):
+            core.joint_eigenstates(ModelParams(n_sites=4, thetas=(0.0, 0.1, 0.0, 0.0)))
+
+    def test_joint_basis_applies_probe_to_degenerate_columns_only(self, monkeypatch):
+        seen = []
+        orig = core.apply_transfer
+
+        def counting(u, params, vectors):
+            seen.append(np.shape(vectors)[1])
+            return orig(u, params, vectors)
+
+        monkeypatch.setattr(core, "apply_transfer", counting)
+        core.joint_eigenstates(ModelParams(n_sites=10))
+        assert 0 < sum(seen) <= 144
+
+    def test_joint_basis_peak_memory(self):
+        import tracemalloc
+
+        params = ModelParams(n_sites=10)
+        tracemalloc.start()
+        try:
+            core.joint_eigenstates(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
 
     def test_transfer_eigenbasis_spans_family(self, rng):
         params = ModelParams(n_sites=4, thetas=tuple(rng.uniform(-0.1, 0.1, 4)))

@@ -219,10 +219,8 @@ class TestEnergies:
 
     def test_consistency_guard_fires_on_broken_cache(self, monkeypatch):
         monkeypatch.setattr(thermo, "E_GROUND_DENSITY", -1.0)
-        thermo._EG_QUAD_CACHE.clear()
         with pytest.raises(ConsistencyError):
             thermo.ground_energy_density(check=True)
-        thermo._EG_QUAD_CACHE.clear()
 
 
 class TestScattering:
