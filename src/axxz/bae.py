@@ -29,7 +29,6 @@ from .model import (
     RootPattern,
     SingularConfigurationError,
     SolverConfig,
-    SpectrumResult,
     ZeroPointSet,
 )
 
@@ -411,8 +410,7 @@ def match_spectrum(ed, bae_energies, tol: float) -> dict:
     Degenerate exact levels count separately, so a doubly degenerate level
     needs two hits to be fully covered.
     """
-    ed_vals = ed.eigenvalues if isinstance(ed, SpectrumResult) else np.asarray(ed, dtype=float)
-    ed_vals = np.sort(np.asarray(ed_vals, dtype=float))
+    ed_vals = np.sort(np.asarray(ed, dtype=float))
     used = np.zeros(len(ed_vals), dtype=bool)
     pairs = []
     unmatched_bae = []

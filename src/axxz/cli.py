@@ -78,10 +78,9 @@ def _render(fmt: str, doc: dict | None, rows) -> str:
 
 def run_ed(cfg: argparse.Namespace):
     params = ModelParams(n_sites=cfg.n)
-    res = diagonalize_symmetric(build_hamiltonian(params))
-    parity = [None] * len(res.eigenvalues) if res.parity is None else res.parity.tolist()
+    res = diagonalize_symmetric(build_hamiltonian(params), want_vectors=False)
     levels = [{"level": i + 1, "energy": float(e), "parity": p}
-              for i, (e, p) in enumerate(zip(res.eigenvalues, parity))]
+              for i, (e, p) in enumerate(zip(res.eigenvalues, res.parity.tolist()))]
     return 0, {"n": cfg.n, "levels": levels}, [list(r.values()) for r in levels]
 
 

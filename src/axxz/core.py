@@ -15,8 +15,8 @@ H is filled from bit arithmetic on these indices, in O(N 2^N) work, and the
 spin flip U = prod sigma^x maps index i to 2^N - 1 - i, so U acts on a
 vector or on matrix rows by reversal. The twisted translation
 G = sigma^x_1 T (T the cyclic shift) is a bit rotation with one flip; it
-commutes with H and every t(u) and G^N = U, so the joint eigenbasis is
-built in the 2N momentum sectors of G.
+commutes with H and every t(u) and G^N = U, so H is solved by one eigh per
+momentum sector k of G, and a level in sector k has U-parity (-1)^k.
 """
 from __future__ import annotations
 
@@ -153,23 +153,69 @@ def apply_transfer(u, params: ModelParams, vectors) -> np.ndarray:
     return (x[:, 0, 1] + x[:, 1, 0]).reshape(len(u), len(v), -1)
 
 
-def _degenerate_blocks(vals: np.ndarray):
-    """Yield (start, stop) of each run of ascending levels within 1e-8 of its first."""
-    i, dim = 0, len(vals)
-    while i < dim:
-        j = i + 1
-        while j < dim and vals[j] - vals[i] < 1e-8:
-            j += 1
-        yield i, j
-        i = j
+def _twist(i, n: int):
+    """Index of G|i>: every spin moves one site on, and the one that wraps round to site 1 flips."""
+    return ((i >> 1) | (i & 1) << (n - 1)) ^ (1 << (n - 1))
+
+
+def _twisted_orbits(n: int):
+    """Orbits of the twisted translation G = sigma^x_1 T on basis indices.
+
+    G^N = U, so every orbit length L_b divides 2N. Returns a (n_orbits, 2N)
+    table whose row b is G^m r_b for m = 0..2N-1, r_b the smallest index of
+    orbit b, and the lengths L_b.
+    """
+    g = np.empty((2 * n, 2**n), dtype=np.int64)
+    g[0] = np.arange(2**n)
+    for m in range(1, 2 * n):
+        g[m] = _twist(g[m - 1], n)
+    reps, lengths = np.unique(g.min(axis=0), return_counts=True)
+    return g[:, reps].T, lengths
+
+
+def _sector_eigh(m: np.ndarray, want_vectors: bool):
+    """Spectrum of a real 2^N x 2^N matrix that commutes with G, sector by sector.
+
+    Sector k, where G = e^{i pi k / N}, holds the orbits with k L_b = 0 mod 2N,
+    spanned by |b, k> = sum_{m < L_b} e^{-i pi k m / N} |G^m r_b> / sqrt(L_b).
+    One FFT over d of m[r_a, G^d r_b] gives every sector block, and each
+    block gets its own eigh. Returns (eigenvalues ascending, sector k of each
+    level, eigenvector columns in the same order or None).
+    """
+    n = m.shape[0].bit_length() - 1
+    table, lengths = _twisted_orbits(n)
+    # blocks[k, a, b] = <a, k|m|b, k>, from m[r_a, G^d r_b] at d = 0..2N-1
+    blocks = np.fft.fft(m[table[:, 0, None], table.T[:, None]], axis=0)
+    blocks *= np.sqrt(np.outer(lengths, lengths)) / (2 * n)
+    sels = [np.flatnonzero(k * lengths % (2 * n) == 0) for k in range(2 * n)]
+    # eigh even without vectors: eigvalsh rounds differently, which could
+    # reorder the levels of a degenerate energy and so their sector labels
+    eigs = [np.linalg.eigh(blocks[k][np.ix_(sel, sel)]) for k, sel in enumerate(sels)]
+    sizes = [len(sel) for sel in sels]
+    vals = np.concatenate([e.eigenvalues for e in eigs])
+    order = np.argsort(vals, kind="stable")
+    ks = np.repeat(np.arange(2 * n), sizes)[order]
+    if not want_vectors:
+        return vals[order], ks, None
+    slots = np.empty_like(order)
+    slots[order] = np.arange(len(order))
+    # columns go straight into their sorted slots; a reorder would copy 2^N x 2^N
+    vecs = np.zeros((2**n, 2**n), dtype=complex)
+    for k, (sel, e, slot) in enumerate(zip(sels, eigs, np.split(slots, np.cumsum(sizes)[:-1]))):
+        orb, d = np.nonzero(np.arange(2 * n) < lengths[sel][:, None])
+        amp = np.exp(-1j * np.pi * k * d / n) / np.sqrt(lengths[sel][orb])
+        vecs[table[sel][orb, d][:, None], slot] = amp[:, None] * e.eigenvectors[orb]
+    return vals[order], ks, vecs
 
 
 def diagonalize_symmetric(m: np.ndarray, want_vectors: bool = True) -> SpectrumResult:
-    """Full ascending spectrum of a real symmetric matrix.
+    """Full ascending spectrum of a real symmetric chain operator.
 
-    When the matrix is a chain operator commuting with U = prod sigma^x,
-    degenerate eigenspaces are rotated so every retained eigenvector is a
-    U-parity eigenstate, and the +-1 labels are returned.
+    The dimension must be 2^N and the matrix must commute with the twisted
+    translation G, as H does. It is solved in the 2N momentum sectors of G
+    (`_sector_eigh`), so no eigh is wider than a sector, and a level in
+    sector k has U-parity (-1)^k because U = G^N. Eigenvectors are complex
+    G eigenstates.
     """
     m = np.asarray(m)
     if np.iscomplexobj(m):
@@ -177,80 +223,36 @@ def diagonalize_symmetric(m: np.ndarray, want_vectors: bool = True) -> SpectrumR
             raise ValueError("matrix has a non-negligible imaginary part")
         m = m.real
     m = m.astype(float, copy=False)
-    if np.max(np.abs(m - m.T)) > _HERM_TOL * max(1.0, np.max(np.abs(m))):
+    scale = max(1.0, np.max(np.abs(m)))
+    if np.max(np.abs(m - m.T)) > _HERM_TOL * scale:
         raise ValueError("matrix is not symmetric")
-    vals, vecs = np.linalg.eigh(m)
-    if not want_vectors:
-        return SpectrumResult(eigenvalues=vals)
-
-    parity = None
     dim = m.shape[0]
     n = dim.bit_length() - 1
-    # U m U = m with U the index reversal: U commutes with m
-    if 2**n == dim and n >= 1 and (
-            np.max(np.abs(m[::-1, ::-1] - m)) < 1e-9 * max(1.0, np.max(np.abs(m)))):
-        # rotate each degenerate block into U eigenvectors
-        parity = np.empty(dim, dtype=int)
-        for i, j in _degenerate_blocks(vals):
-            block = vecs[:, i:j]
-            w, s = np.linalg.eigh(block.T @ block[::-1])
-            vecs[:, i:j] = block @ s
-            parity[i:j] = np.where(w > 0, 1, -1)
-    return SpectrumResult(eigenvalues=vals, eigenvectors=vecs, parity=parity)
-
-
-def _twisted_orbits(n: int):
-    """Orbits of the twisted translation G = sigma^x_1 T on basis indices.
-
-    G shifts every spin one site on and flips the one that wraps round to
-    site 1, so G^N = U and every orbit length L_b divides 2N. Returns a
-    (n_orbits, 2N) table whose row b is G^m r_b for m = 0..2N-1, r_b the
-    smallest index of orbit b, and the lengths L_b.
-    """
-    g = np.empty((2 * n, 2**n), dtype=np.int64)
-    g[0] = np.arange(2**n)
-    for m in range(1, 2 * n):
-        g[m] = ((g[m - 1] >> 1) | (g[m - 1] & 1) << (n - 1)) ^ (1 << (n - 1))
-    reps, lengths = np.unique(g.min(axis=0), return_counts=True)
-    return g[:, reps].T, lengths
+    if n < 1 or dim != 2**n:
+        raise ValueError(f"dimension {dim} is not a power of two")
+    # [m, G^-1] on one fixed generic vector, where (G^-1 x)_i = x_{G(i)}
+    x, g = np.cos(np.arange(dim)), _twist(np.arange(dim), n)
+    if np.linalg.norm(m @ x[g] - (m @ x)[g]) > _HERM_TOL * scale * np.linalg.norm(x):
+        raise ValueError("matrix does not commute with the twisted translation")
+    vals, ks, vecs = _sector_eigh(m, want_vectors)
+    return SpectrumResult(eigenvalues=vals, eigenvectors=vecs, parity=1 - 2 * (ks % 2))
 
 
 def joint_eigenstates(params: ModelParams):
     """Common eigenbasis of H and the transfer family, at zero thetas.
 
-    G = sigma^x_1 T commutes with H and every t(u), so the basis splits into
-    2N sectors with G = e^{i pi k / N}. Sector k holds the orbits with
-    k L_b = 0 mod 2N, spanned by |b, k> = sum_{m < L_b} e^{-i pi k m / N}
-    |G^m r_b> / sqrt(L_b). One FFT over d of H[r_a, G^d r_b] gives every
-    sector block, and each block gets its own eigh. Only levels still
-    degenerate inside one sector are rotated into eigenvectors of
-    t(U_PROBE), applied to those columns alone. Returns (energies ascending,
-    eigenvector matrix) with columns that are joint eigenstates.
+    G commutes with H and every t(u), so H is solved sector by sector
+    (`_sector_eigh`). Only levels still degenerate inside one sector are
+    rotated into eigenvectors of t(U_PROBE), applied to those columns alone.
+    Returns (energies ascending, eigenvector matrix) with columns that are
+    joint eigenstates.
     """
     _check_zero_thetas(params, "joint eigenbasis")
-    n = params.n_sites
-    table, lengths = _twisted_orbits(n)
-    # blocks[k, a, b] = <a, k|H|b, k>, from H[r_a, G^d r_b] at d = 0..2N-1
-    blocks = np.fft.fft(build_hamiltonian(params)[table[:, 0, None], table.T[:, None]], axis=0)
-    blocks *= np.sqrt(np.outer(lengths, lengths)) / (2 * n)
-    sectors = []
-    for k in range(2 * n):
-        sel = np.flatnonzero(k * lengths % (2 * n) == 0)
-        sectors.append((k, sel, *np.linalg.eigh(blocks[k][np.ix_(sel, sel)])))
-    sizes = [len(w) for _, _, w, _ in sectors]
-    vals = np.concatenate([w for _, _, w, _ in sectors])
-    order = np.argsort(vals, kind="stable")
-    slots = np.empty_like(order)
-    slots[order] = np.arange(len(order))
-
-    # columns go straight into their sorted slots; a reorder would copy 2^N x 2^N
-    vecs = np.zeros((2**n, 2**n), dtype=complex)
-    deg = []
-    for (k, sel, w, c), slot in zip(sectors, np.split(slots, np.cumsum(sizes)[:-1])):
-        orb, m = np.nonzero(np.arange(2 * n) < lengths[sel][:, None])
-        amp = np.exp(-1j * np.pi * k * m / n) / np.sqrt(lengths[sel][orb])
-        vecs[table[sel][orb, m][:, None], slot] = amp[:, None] * c[orb]
-        deg += [slot[i:j] for i, j in _degenerate_blocks(w) if j - i > 1]
+    vals, ks, vecs = _sector_eigh(build_hamiltonian(params), True)
+    # slots of the runs of levels within 1e-8 of each other inside one sector
+    by_sector = np.lexsort((vals, ks))
+    cut = (np.diff(ks[by_sector]) != 0) | (np.diff(vals[by_sector]) >= 1e-8)
+    deg = [blk for blk in np.split(by_sector, np.flatnonzero(cut) + 1) if len(blk) > 1]
     cols = np.concatenate(deg) if deg else np.zeros(0, dtype=int)
     x = vecs[:, cols]
     tx = np.empty_like(x)
@@ -261,7 +263,7 @@ def joint_eigenstates(params: ModelParams):
         _, s = np.linalg.eig(xb.conj().T @ tb)
         s /= np.linalg.norm(s, axis=0, keepdims=True)
         vecs[:, blk] = xb @ s
-    return vals[order], vecs
+    return vals, vecs
 
 
 def transfer_eigenbasis(params: ModelParams):

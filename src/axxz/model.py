@@ -15,7 +15,7 @@ ETA = 1j * np.pi / 3
 SINH_ETA = np.sinh(ETA)  # i*sqrt(3)/2
 COSH_ETA = 0.5  # cosh(i*pi/3) exactly
 
-ED_CAP = 12  # 2^12 x 2^12 dense real (128 MiB) is the practical ceiling here
+ED_CAP = 12  # dense real H (128 MiB) and complex eigenvectors (256 MiB) at N = 12
 
 # generic probe point used to split degenerate H-eigenspaces with t(u0);
 # any u0 away from the identity points and their eta-shifts works
@@ -102,8 +102,9 @@ class SolverConfig:
 class SpectrumResult:
     """Full spectrum of a real symmetric chain operator.
 
-    parity holds +-1 labels under U = prod_j sigma^x_j when the input
-    commutes with U and the dimension is a power of two, else None.
+    parity holds the +-1 label of each level under U = prod_j sigma^x_j,
+    (-1)^k for a level in momentum sector k of G (U = G^N); it is set with
+    or without eigenvectors.
     """
 
     eigenvalues: np.ndarray

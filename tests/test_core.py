@@ -97,10 +97,40 @@ class TestHamiltonian:
         h = core.build_hamiltonian(params6)
         assert np.max(np.abs(h[::-1, ::-1] - h)) < 1e-12
 
-    def test_parity_labels_are_eigenvalues(self, ed6):
-        for i in range(0, 64, 7):
-            v = ed6.eigenvectors[:, i]
-            assert np.linalg.norm(v[::-1] - ed6.parity[i] * v) < 1e-8
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_parity_labels_are_eigenvalues(self, n):
+        h = core.build_hamiltonian(ModelParams(n_sites=n))
+        res = core.diagonalize_symmetric(h)
+        v = res.eigenvectors
+        assert np.max(np.linalg.norm(v[::-1] - res.parity * v, axis=0)) < 1e-12
+        assert np.sum(res.parity) == 0  # tr U = 0
+        bare = core.diagonalize_symmetric(h, want_vectors=False)
+        assert bare.eigenvectors is None
+        assert np.array_equal(bare.eigenvalues, res.eigenvalues)
+        assert np.array_equal(bare.parity, res.parity)
+
+    def test_diagonalize_needs_twisted_translation_symmetry(self):
+        h = core.build_hamiltonian(ModelParams(n_sites=4))
+        h[1, 6] = h[6, 1] = h[1, 6] + 0.5
+        with pytest.raises(ValueError, match="twisted translation"):
+            core.diagonalize_symmetric(h)
+        with pytest.raises(ValueError, match="power of two"):
+            core.diagonalize_symmetric(np.eye(3))
+
+    def test_diagonalize_solves_sector_blocks_only(self, monkeypatch):
+        widths = []
+        for name in ("eigh", "eigvalsh"):
+            orig = getattr(np.linalg, name)
+
+            def recording(a, *args, _orig=orig, **kw):
+                widths.append(np.shape(a)[-1])
+                return _orig(a, *args, **kw)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        h = core.build_hamiltonian(ModelParams(n_sites=10))
+        core.diagonalize_symmetric(h)
+        core.diagonalize_symmetric(h, want_vectors=False)
+        assert widths and max(widths) <= 64
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
