@@ -56,8 +56,10 @@ def _tanh_matrices(zeros, params: ModelParams):
     """t = tanh(z_j - theta_l) and tanh(z_j - z_k), refused on a pole of the equations."""
     z = _zeros_of(zeros)
     t_th, t_zz = np.tanh(z[:, None] - params.theta_array), np.tanh(z[:, None] - z)
-    dist = np.hstack([abs(t_th), abs(t_th + _I_SQ3), abs(t_zz - _I_SQ3), abs(t_zz + _I_SQ3)])
-    rows = np.flatnonzero((dist < _POLE_TOL).any(axis=1))
+    near = (abs(t_th) < _POLE_TOL).any(axis=1)
+    for t, pole in ((t_th, -_I_SQ3), (t_zz, _I_SQ3), (t_zz, -_I_SQ3)):
+        near |= (abs(t - pole) < _POLE_TOL).any(axis=1)
+    rows = np.flatnonzero(near)
     if rows.size:
         raise SingularConfigurationError(f"root {rows[0]} sits on a pole of the equations")
     return t_th, t_zz

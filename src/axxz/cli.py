@@ -124,7 +124,7 @@ def run_bae(cfg: argparse.Namespace):
 def run_verify(cfg: argparse.Namespace):
     n = cfg.n
     if n > 8:
-        raise ValueError("verify is limited to n <= 8 (dense eig of t(probe))")
+        raise ValueError("verify is limited to n <= 8 (dense t(probe) for the seeded eigenbasis)")
     for flag in ("levels", "samples"):
         if getattr(cfg, flag) < 1:
             raise ValueError(f"--{flag} must be at least 1")

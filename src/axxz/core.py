@@ -6,9 +6,10 @@ t(u) = tr_0{ sigma^x_0 R_0N(u - theta_N) ... R_01(u - theta_1) } on vectors:
 `apply_transfer` costs O(N 2^N) work per u and column, without forming the
 matrix. Every check of t(u) goes through it, including the joint eigenbasis
 of H and t and H rebuilt from t'(0). The dense 2^N x 2^N t(u) of
-`build_transfer_matrix` is only built for the eig of t(U_PROBE) in
-`transfer_eigenbasis` and as a test oracle. This module is the
-exact-diagonalization oracle everything else is checked against.
+`build_transfer_matrix` is only built for `transfer_eigenbasis`, which
+splits t(U_PROBE) into its two U-parity blocks and solves each as a normal
+matrix (eigh of its Hermitian part), and as a test oracle. This module is
+the exact-diagonalization oracle everything else is checked against.
 
 Basis index bits are spins, site 1 the most significant bit, bit 0 = up.
 H is filled from bit arithmetic on these indices, in O(N 2^N) work, and the
@@ -33,8 +34,9 @@ from .model import (
     SpectrumResult,
 )
 
-_HERM_TOL = 1e-10  # largest imaginary part or asymmetry taken as rounding
+_HERM_TOL = 1e-10  # largest imaginary part, or relative asymmetry on a test vector, taken as rounding
 _SLAB = 16  # columns per apply_transfer call in joint_eigenstates
+_RUN_GAP = 1e-4  # relative gap below which Hermitian-part eigenvalues share one small eig
 
 
 def _check_capacity(n: int):
@@ -113,7 +115,12 @@ def build_transfer_matrix(u: complex, params: ModelParams) -> np.ndarray:
 
     The auxiliary space is contracted block-iteratively: keep the four
     2^k x 2^k blocks M[a][b] of the partial monodromy (seeded with the
-    sigma^x twist) and attach one site per step.
+    sigma^x twist) and attach one site per step, as the new most significant
+    spin. The R blocks are diagonal (a = b) or a single unit entry, so each
+    step writes the quadrants of the new blocks straight from the old ones:
+    M'[a][0] = [[b+ M[a][0], M[a][1]], [0, b- M[a][0]]] and
+    M'[a][1] = [[b- M[a][1], 0], [M[a][0], b+ M[a][1]]]. The last site
+    (site 1) only forms the trace M'[0][0] + M'[1][1].
     """
     n = params.n_sites
     _check_capacity(n)
@@ -121,14 +128,24 @@ def build_transfer_matrix(u: complex, params: ModelParams) -> np.ndarray:
     z1 = np.zeros((1, 1), dtype=complex)
     o1 = np.ones((1, 1), dtype=complex)
     m = [[z1, o1], [o1, z1]]  # twist sigma^x in the auxiliary space
-    for j in range(n, 0, -1):
-        r4 = build_r_matrix(u - theta[j - 1])
-        r = [[r4[2 * a : 2 * a + 2, 2 * b : 2 * b + 2] for b in range(2)] for a in range(2)]
-        m = [
-            [sum(np.kron(r[c][b], m[a][c]) for c in range(2)) for b in range(2)]
-            for a in range(2)
-        ]
-    return m[0][0] + m[1][1]
+    for j in range(n, 1, -1):
+        bp, bm = _r_weights(u - theta[j - 1])
+        s = len(m[0][0])
+        new = []
+        for m0, m1 in m:
+            x0, x1 = np.zeros((2, 2 * s, 2 * s), dtype=complex)
+            x0[:s, :s], x0[:s, s:], x0[s:, s:] = bp * m0, m1, bm * m0
+            x1[:s, :s], x1[s:, :s], x1[s:, s:] = bm * m1, m0, bp * m1
+            new.append((x0, x1))
+        m = new
+    bp, bm = _r_weights(u - theta[0])
+    (m00, m01), (m10, m11) = m
+    s = len(m00)
+    t = np.empty((2 * s, 2 * s), dtype=complex)
+    t[:s, :s], t[:s, s:] = bp * m00 + bm * m11, m01
+    t[s:, :s], t[s:, s:] = m10, bm * m00 + bp * m11
+    t += 0.0  # every zero entry +0.0, whatever the signs of the weights
+    return t
 
 
 def apply_transfer(u, params: ModelParams, vectors) -> np.ndarray:
@@ -223,16 +240,18 @@ def diagonalize_symmetric(m: np.ndarray, want_vectors: bool = True) -> SpectrumR
             raise ValueError("matrix has a non-negligible imaginary part")
         m = m.real
     m = m.astype(float, copy=False)
-    scale = max(1.0, np.max(np.abs(m)))
-    if np.max(np.abs(m - m.T)) > _HERM_TOL * scale:
-        raise ValueError("matrix is not symmetric")
     dim = m.shape[0]
+    # m - m^T and [m, G^-1] on one fixed generic vector, where (G^-1 x)_i = x_{G(i)}
+    x = np.cos(np.arange(dim))
+    mx = m @ x
+    tol = _HERM_TOL * max(np.linalg.norm(x), np.linalg.norm(mx))
+    if np.linalg.norm(mx - m.T @ x) > tol:
+        raise ValueError("matrix is not symmetric")
     n = dim.bit_length() - 1
     if n < 1 or dim != 2**n:
         raise ValueError(f"dimension {dim} is not a power of two")
-    # [m, G^-1] on one fixed generic vector, where (G^-1 x)_i = x_{G(i)}
-    x, g = np.cos(np.arange(dim)), _twist(np.arange(dim), n)
-    if np.linalg.norm(m @ x[g] - (m @ x)[g]) > _HERM_TOL * scale * np.linalg.norm(x):
+    g = _twist(np.arange(dim), n)
+    if np.linalg.norm(m @ x[g] - mx[g]) > tol:
         raise ValueError("matrix does not commute with the twisted translation")
     vals, ks, vecs = _sector_eigh(m, want_vectors)
     return SpectrumResult(eigenvalues=vals, eigenvectors=vecs, parity=1 - 2 * (ks % 2))
@@ -266,18 +285,61 @@ def joint_eigenstates(params: ModelParams):
     return vals, vecs
 
 
+def _normal_eig(b: np.ndarray):
+    """Eigenvalues and orthonormal eigenvector columns of a normal matrix b.
+
+    A normal b commutes with its Hermitian part, so the eigh of that part
+    already gives b's eigenvectors, except inside runs of Hermitian
+    eigenvalues closer than _RUN_GAP (relative), where b is diagonalized by a
+    small eig in the run's columns. One first-order Rayleigh-Ritz step then
+    removes the eigh error between runs; inside a run the eigenvalue
+    differences it divides by can vanish.
+    """
+    w, v = np.linalg.eigh((b + b.conj().T) / 2)
+    cut = np.diff(w) > _RUN_GAP * max(abs(w[0]), abs(w[-1]))
+    bv = b @ v
+    for run in np.split(np.arange(len(w)), np.flatnonzero(cut) + 1):
+        if len(run) > 1:
+            _, s = np.linalg.eig(v[:, run].conj().T @ bv[:, run])  # unit columns
+            v[:, run], bv[:, run] = v[:, run] @ s, bv[:, run] @ s
+    c = v.conj().T @ bv
+    lam = c.diagonal().copy()
+    label = np.r_[0, np.cumsum(cut)]
+    same = label[:, None] == label
+    # v_i += sum_j v_j c_ji / (lam_i - lam_j) over j in other runs
+    v += v @ np.where(same, 0.0, c / np.where(same, 1.0, lam - lam[:, None]))
+    v /= np.linalg.norm(v, axis=0)
+    return lam, v
+
+
 def transfer_eigenbasis(params: ModelParams):
-    """Eigenbasis of t(U_PROBE), valid for any inhomogeneities.
+    """Eigenbasis of t(U_PROBE), valid for any real inhomogeneities.
 
     With nonzero thetas the local Hamiltonian is no longer part of the
-    commuting family, so the basis has to come from the family itself. The
-    probe eigenvalues are generically simple; columns are sorted by
-    decreasing |eigenvalue|.
+    commuting family, so the basis has to come from the family itself. For
+    real thetas t(u)^dagger is a unimodular multiple of t(conj(u) - eta),
+    so t(U_PROBE) is normal, and U = prod sigma^x commutes with it. U
+    reverses the index order, so the U = +-1 block of t in the basis
+    (|i> +- |2^N - 1 - i>)/sqrt(2), i < 2^(N-1), is
+    t[:h, :h] +- t[:h, ::-1][:, :h]; each block is solved by `_normal_eig`,
+    so no eig is wider than a run of near-equal eigenvalues. Columns are
+    orthonormal U eigenstates sorted by decreasing |eigenvalue|.
     """
+    if np.any(params.theta_array.imag != 0):
+        raise ValueError("transfer eigenbasis needs real thetas (t(U_PROBE) is normal only then)")
     t = build_transfer_matrix(U_PROBE, params)
-    vals, vecs = np.linalg.eig(t)
-    order = np.argsort(-np.abs(vals))
-    return vals[order], vecs[:, order]
+    h = len(t) // 2
+    blocks = [_normal_eig(t[:h, :h] + sign * t[:h, ::-1][:, :h]) for sign in (1, -1)]
+    vals = np.concatenate([lam for lam, _ in blocks])
+    order = np.argsort(-np.abs(vals), kind="stable")
+    slots = np.empty_like(order)
+    slots[order] = np.arange(len(order))
+    # columns go straight into their sorted slots; a reorder would copy 2^N x 2^N
+    vecs = np.empty_like(t)
+    for (_, v), sign, slot in zip(blocks, (1, -1), np.split(slots, 2)):
+        vecs[:h, slot] = v / np.sqrt(2)
+        vecs[h:, slot] = sign * v[::-1] / np.sqrt(2)
+    return vals[order], vecs
 
 
 def transfer_eigenvalue_on_state(u, params: ModelParams, state: np.ndarray):

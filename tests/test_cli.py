@@ -113,7 +113,7 @@ class TestVerify:
     @pytest.mark.parametrize("argv, builds", [([], 0), (["--seed", "1"], 1)],
                              ids=["homogeneous", "seeded"])
     def test_dense_transfer_builds(self, capsys, monkeypatch, argv, builds):
-        # only the eig of t(probe) in transfer_eigenbasis needs the dense operator
+        # only transfer_eigenbasis, which splits t(probe) into U-parity blocks, needs the dense operator
         from axxz import core
 
         calls = []

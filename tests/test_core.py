@@ -221,6 +221,15 @@ class TestApplyTransfer:
             ref = core.build_transfer_matrix(u, params) @ vecs
             assert np.max(np.abs(tv - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_dense_build_matches_action_on_identity(self, n):
+        rng = np.random.default_rng(700 + n)
+        params = ModelParams(n_sites=n, thetas=tuple(rng.uniform(-0.1, 0.1, n)))
+        for u in (U_PROBE, 0.0, 0.41 - 0.27j):
+            t = core.build_transfer_matrix(u, params)
+            ref = core.apply_transfer(u, params, np.eye(2**n))[0]
+            assert np.max(np.abs(t - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     def test_vector_input_keeps_a_column_axis(self, params6, joint6):
         _, vecs = joint6
         assert core.apply_transfer([0.1, 0.2j], params6, vecs[:, 0]).shape == (2, 64, 1)
@@ -296,6 +305,72 @@ class TestEigenstates:
             v = vecs[:, i]
             lam = np.vdot(v, t @ v) / np.vdot(v, v)
             assert np.linalg.norm(t @ v - lam * v) < 1e-8 * np.linalg.norm(t @ v)
+
+
+class TestTransferEigenbasis:
+    @pytest.mark.parametrize("kind", ["random", "zero"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_eigenpairs(self, n, kind):
+        rng = np.random.default_rng(800 + n)
+        thetas = tuple(rng.uniform(-0.1, 0.1, n)) if kind == "random" else None
+        params = ModelParams(n_sites=n, thetas=thetas)
+        vals, vecs = core.transfer_eigenbasis(params)
+        t = core.build_transfer_matrix(U_PROBE, params)
+        # the probe eigenvalues are simple, so nearest neighbours pair the two lists
+        ref = np.linalg.eigvals(t)
+        dist = np.abs(ref[:, None] - vals)
+        match = np.argmin(dist, axis=1)
+        assert np.array_equal(np.sort(match), np.arange(2**n))
+        assert np.max(dist[np.arange(2**n), match]) <= 1e-12
+        tv = t @ vecs
+        assert np.max(np.linalg.norm(tv - vals * vecs, axis=0) / np.linalg.norm(tv, axis=0)) <= 1e-13
+        assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(2**n))) <= 1e-12
+        even = np.linalg.norm(vecs[::-1] - vecs, axis=0) <= 1e-12
+        odd = np.linalg.norm(vecs[::-1] + vecs, axis=0) <= 1e-12
+        assert np.all(even | odd) and np.sum(even) == 2 ** (n - 1)
+        assert np.all(np.diff(np.abs(vals)) <= 0)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_adjoint_is_shifted_transfer(self, n):
+        # t(u)^dagger = c t(conj(u) - eta), |c| = 1, for real thetas: t(U_PROBE) is normal
+        rng = np.random.default_rng(900 + n)
+        params = ModelParams(n_sites=n, thetas=tuple(rng.uniform(-0.1, 0.1, n)))
+        for u in (U_PROBE, 0.3 - 0.2j, -0.7 + 0.5j):
+            adj = core.build_transfer_matrix(u, params).conj().T
+            shifted = core.build_transfer_matrix(np.conj(u) - ETA, params)
+            c = np.vdot(shifted, adj) / np.vdot(shifted, shifted)
+            assert abs(abs(c) - 1) <= 1e-13
+            assert rel(adj, c * shifted) <= 1e-13
+
+    def test_normal_eig_resolves_runs(self):
+        # Hermitian parts 1 and 1 + 1e-7, -0.4 and -0.4 + 3e-9 share runs;
+        # the imaginary parts tell them apart
+        rng = np.random.default_rng(17)
+        lam = np.array([1 + 0.5j, 1 + 1e-7 - 0.3j, -0.4 + 0.2j, -0.4 + 3e-9 - 0.6j, 0.2 + 0.1j, -1.3])
+        q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+        b = (q * lam) @ q.conj().T
+        vals, vecs = core._normal_eig(b)
+        assert np.max(np.abs(np.sort_complex(vals) - np.sort_complex(lam))) <= 1e-14
+        assert np.max(np.linalg.norm(b @ vecs - vals * vecs, axis=0)) <= 1e-14
+        assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(6))) <= 1e-14
+
+    def test_no_eig_on_the_full_space(self, monkeypatch):
+        widths = []
+        orig = np.linalg.eig
+
+        def recording(a, *args, **kw):
+            widths.append(np.shape(a)[-1])
+            return orig(a, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, "eig", recording)
+        n = 10  # the first size whose probe spectrum has runs of near-equal Hermitian parts
+        params = ModelParams(n_sites=n, thetas=tuple(np.random.default_rng(10).uniform(-0.1, 0.1, n)))
+        core.transfer_eigenbasis(params)
+        assert widths and max(widths) <= 4
+
+    def test_rejects_complex_thetas(self):
+        with pytest.raises(ValueError, match="real thetas"):
+            core.transfer_eigenbasis(ModelParams(n_sites=4, thetas=(0.1, 0.05j, 0.0, -0.02)))
 
 
 class TestModelTypes:
