@@ -246,13 +246,18 @@ def run_thermo(cfg: argparse.Namespace):
     return 0, doc, rows
 
 
+def _short(x: float) -> str:
+    """Shortest round-trip repr, with -0.0 as 0 and a trailing .0 dropped."""
+    text = repr(x + 0.0)
+    return text[:-2] if text.endswith(".0") else text
+
+
 def run_scatter(cfg: argparse.Namespace):
     amp = thermo.smatrix(cfg.process, cfg.a1, cfg.a2)
     v = amp.value
-    re = v.real if v.real != 0 else 0.0
-    im = v.imag if v.imag != 0 else 0.0
+    im = _short(v.imag)
     doc = {"process": amp.process, "a1": cfg.a1, "a2": cfg.a2, "value": _cnum(v)}
-    return 0, doc, [(f"{re:g}{im:+g}i",)]
+    return 0, doc, [(_short(v.real) + ("" if im.startswith("-") else "+") + im + "i",)]
 
 
 def _bundled_fixture() -> str:

@@ -5,7 +5,8 @@ with its two boundary holes, the hole contribution Delta, the ground
 energy density (3 - 3*sqrt(3))/2, both elementary dispersion laws, the
 density shifts they induce, and the three two-body scattering amplitudes.
 Every Fourier-derived closed form can be re-checked against a direct
-numerical solution of its integral equation. The energy quadratures are
+numerical solution of its integral equation, by conjugate gradients with
+an FFT mat-vec (numpy only). The energy quadratures are
 trapezoid sums on a uniform grid: each integrand is analytic in a strip
 around the real axis and decays exponentially, so the sum converges
 geometrically and no adaptive integrator is needed.
@@ -232,22 +233,53 @@ def smatrix(process: str, alpha1: float, alpha2: float) -> ScatteringAmplitude:
     return ScatteringAmplitude(process=process, alphas=(alpha1, alpha2), value=complex(value))
 
 
+_CG_CAP = 40  # the solve takes 15-16 iterations at every grid size used here
+
+
 def solve_density_equation(inhomogeneity, n_points: int = 4001):
     """Solution of f = inhomogeneity + a_2 * f on a uniform grid over [-20, 20].
 
     Returns (grid, solution). Direct numerical oracle for the Fourier-derived
     closed forms. Every node carries the weight h, so the discrete system
-    (1 - h A) f = g is symmetric Toeplitz and one Levinson solve gives it
-    exactly; the end weights differ from the trapezoid's h/2 only where
-    every source used here is below 1e-13.
+    (1 - h A) f = g is symmetric Toeplitz; the end weights differ from the
+    trapezoid's h/2 only where every source used here is below 1e-13. Its
+    symbol 1 - a_2^ lies in [2/3, 1], so plain conjugate gradients converge
+    by about a factor 10 per iteration: 15-16 iterations reach the stop
+    ||r|| <= 4 eps ||g|| at every n. Each mat-vec embeds the matrix in a
+    zero-padded circulant of power-of-two length at least 2n - 1 and costs
+    one rfft/irfft pair. Raises ConsistencyError if the stop is not reached
+    in _CG_CAP iterations (a non-finite source never reaches it).
     """
-    from scipy.linalg import solve_toeplitz
-
     grid = np.linspace(-20.0, 20.0, n_points)
     h = grid[1] - grid[0]
     col = -h * a_m(grid - grid[0], 2)  # a_2 is even: entry i, j is a_2(|i - j| h)
     col[0] += 1
-    return grid, solve_toeplitz(col, np.asarray(inhomogeneity(grid), dtype=float))
+    size = 1 << (2 * n_points - 2).bit_length()
+    embedded = np.zeros(size)
+    embedded[:n_points] = col
+    embedded[size - n_points + 1:] = col[:0:-1]
+    symbol = np.fft.rfft(embedded).real  # the embedding is symmetric, so its spectrum is real
+
+    g = np.asarray(inhomogeneity(grid), dtype=float)
+    f = np.zeros(n_points)
+    r = g.copy()
+    p = r.copy()
+    rr = r @ r
+    stop = (4 * np.finfo(float).eps) ** 2 * rr
+    iterations = 0
+    while not rr <= stop:  # written so that a NaN residual never passes
+        if iterations == _CG_CAP:
+            raise ConsistencyError(
+                f"density solve: conjugate gradients left ||r|| = {math.sqrt(rr):.3g} "
+                f"after {_CG_CAP} iterations, stop at {math.sqrt(stop):.3g}")
+        q = np.fft.irfft(symbol * np.fft.rfft(p, size), size)[:n_points]
+        step = rr / (p @ q)
+        f += step * p
+        r -= step * q
+        rr, rr_old = r @ r, rr
+        p = r + (rr / rr_old) * p
+        iterations += 1
+    return grid, f
 
 
 def finite_size_density_check(sets, profile: DensityProfile) -> dict:

@@ -194,6 +194,17 @@ class TestScatter:
                            "--a1", "0", "--a2", "0")
         assert code == 0 and out == "1+0i"
 
+    @pytest.mark.parametrize("process", ["I_I", "II_II", "I_II"])
+    @pytest.mark.parametrize("a1, a2", [("0.2", "-0.7"), ("0.9", "-0.4"), ("3", "3"),
+                                        ("1e-9", "0"), ("-12", "15")])
+    def test_csv_parts_round_trip_json(self, capsys, process, a1, a2):
+        argv = ("scatter", "--process", process, "--a1", a1, "--a2", a2)
+        _, text, _ = run(capsys, *argv)
+        _, doc, _ = run(capsys, *argv, "--format", "json")
+        assert text.endswith("i") and not text.endswith(".0i")
+        v = json.loads(doc)["value"]
+        assert complex(text[:-1] + "j") == complex(v["re"], v["im"])
+
     def test_json_value_unimodular(self, capsys):
         _, out, _ = run(capsys, "scatter", "--process", "I_II",
                         "--a1", "0.9", "--a2", "-0.4", "--format", "json")
@@ -284,6 +295,24 @@ class TestOutput:
                 capture_output=True, text=True, timeout=60, check=True, env=env,
             )
             assert proc.stdout.strip().splitlines()[-1] == "[]", call
+
+    def test_library_paths_load_no_scipy(self):
+        src = str(Path(axxz.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        calls = [["ed", "--n", "4"], ["bae", "--n", "6"], ["verify", "--n", "4"],
+                 ["thermo", "--quantity", "rho", "--n", "16", "--hole-pos", "2"],
+                 ["scatter", "--process", "I_I"], ["table1"]]
+        script = (
+            "import sys\n"
+            "from axxz import cli, thermo\n"
+            "thermo.solve_density_equation(lambda x: thermo.a_m(x, 1), n_points=201)\n"
+            f"codes = [cli.main(argv) for argv in {calls!r}]\n"
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120, check=True, env=env)
+        assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"
 
     def test_json_round_trip_is_exact(self, capsys):
         _, out, _ = run(capsys, "bae", "--n", "6", "--format", "json")

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg import solve_toeplitz
 
 from axxz import bae, thermo
 from axxz.model import ConsistencyError, ExcitationSpec, ModelParams
@@ -23,6 +24,25 @@ from axxz.model import ConsistencyError, ExcitationSpec, ModelParams
 SQ2, SQ3, SQ6 = math.sqrt(2), math.sqrt(3), math.sqrt(6)
 
 finite_alpha = st.floats(min_value=-3, max_value=3, allow_nan=False)
+
+DENSITY_SOURCES = {
+    "a1": lambda x: thermo.a_m(x, 1),
+    "a2_shifted": lambda x: thermo.a_m(x - 0.7, 2),
+    "a4": lambda x: thermo.a_m(x, 4),
+    "gauss": lambda x: np.exp(-x ** 2),
+}
+
+
+def refined_levinson(col, g):
+    """Levinson solve of the symmetric Toeplitz system plus one refinement step.
+
+    The plain Levinson solution of the Gaussian source at n = 4001 leaves a
+    residual of 1.2e-14 and sits 1.3e-14 from the refined one; one step with
+    the residual from a direct convolution brings it to 1e-15.
+    """
+    f = solve_toeplitz(col, g)
+    residual = g - np.convolve(np.concatenate([col[:0:-1], col]), f, mode="valid")
+    return f + solve_toeplitz(col, residual)
 
 
 class TestKernels:
@@ -102,7 +122,7 @@ class TestDensities:
 
     def test_density_solve_forms_no_dense_kernel(self):
         # a dense 4001 x 4001 float kernel alone would take 128 MB; the small
-        # warm-up solve keeps the scipy import out of the traced peak
+        # warm-up solve keeps first-call costs out of the traced peak
         def source(x):
             return thermo.a_m(x, 1)
 
@@ -114,6 +134,44 @@ class TestDensities:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+    @pytest.mark.parametrize("n", (201, 800, 801, 4000, 4001))
+    @pytest.mark.parametrize("name", sorted(DENSITY_SOURCES))
+    def test_density_solve_matches_direct_solvers(self, name, n):
+        source = DENSITY_SOURCES[name]
+        grid, f = thermo.solve_density_equation(source, n_points=n)
+        h = grid[1] - grid[0]
+        col = -h * thermo.a_m(grid - grid[0], 2)
+        col[0] += 1
+        g = source(grid)
+        assert np.max(np.abs(f - refined_levinson(col, g))) < 1e-14
+        if n <= 801:
+            dense = np.eye(n) - h * thermo.a_m(grid[:, None] - grid[None, :], 2)
+            assert np.max(np.abs(f - np.linalg.solve(dense, g))) < 1e-14
+
+    @pytest.mark.parametrize("name", sorted(DENSITY_SOURCES))
+    def test_density_solve_iterations(self, monkeypatch, name):
+        # one irfft per conjugate-gradient iteration, none anywhere else
+        calls = []
+        irfft = np.fft.irfft
+
+        def counting(*args, **kw):
+            calls.append(1)
+            return irfft(*args, **kw)
+
+        monkeypatch.setattr(np.fft, "irfft", counting)
+        thermo.solve_density_equation(DENSITY_SOURCES[name], n_points=4001)
+        assert 0 < len(calls) <= 20
+
+    @pytest.mark.parametrize("where", [slice(None), slice(2000, 2001)], ids=["all", "one"])
+    def test_density_solve_nan_source_raises(self, where):
+        def source(x):
+            g = thermo.a_m(x, 1)
+            g[where] = np.nan
+            return g
+
+        with pytest.raises(ConsistencyError, match="conjugate gradients"):
+            thermo.solve_density_equation(source)
 
     def test_bulk_density_normalized(self):
         val, _ = quad(thermo.rho_bulk, -40, 40, limit=200)
