@@ -161,7 +161,7 @@ def run_verify(cfg: argparse.Namespace):
         np.linalg.norm(shifted - (-1) ** (n - 1) * tx) / np.linalg.norm(tx), 1e-10)
 
     th0 = params.theta_array[0]
-    target = -tqverify.a_function(th0, params) * tqverify.d_function(th0 - ETA, params)
+    target = tqverify.quantum_determinant(th0, params)
     add("inversion_identity",
         np.linalg.norm(t(th0, t(th0 - ETA, x)) - target * x) / (abs(target) * np.linalg.norm(x)),
         1e-8)
@@ -175,13 +175,15 @@ def run_verify(cfg: argparse.Namespace):
     else:
         vals, vecs = transfer_eigenbasis(params)
     idx = sorted(set(np.linspace(0, len(vals) - 1, cfg.levels).astype(int)))
-    bil, cub, f3qp, band = 0.0, 0.0, 0.0, 0.0
+    per_level = []
     for i in idx:
         f = tqverify.spectral_function_from_state(vecs[:, i], params)
-        bil = max(bil, tqverify.verify_bilinear(f, params)["max_residual"])
-        cub = max(cub, tqverify.verify_cubic(f, params, cfg.samples)["max_relative_residual"])
-        f3qp = max(f3qp, tqverify.verify_f3_properties(f, params)["quasi_periodicity"])
-        band = max(band, f.band_weight)
+        per_level.append((tqverify.verify_bilinear(f, params)["max_residual"],
+                          tqverify.verify_cubic(f, params, cfg.samples)["max_relative_residual"],
+                          tqverify.verify_f3_properties(f, params)["quasi_periodicity"],
+                          f.band_weight))
+    # np.max, not max(): a level with a NaN residual has to fail its check
+    bil, cub, f3qp, band = np.max(per_level, axis=0)
     add("bilinear_identity", bil, 1e-8)
     add("cubic_identity", cub, 1e-6)
     add("f3_quasi_periodicity", f3qp, 1e-8)

@@ -15,6 +15,8 @@ ETA = 1j * np.pi / 3
 SINH_ETA = np.sinh(ETA)  # i*sqrt(3)/2
 COSH_ETA = 0.5  # cosh(i*pi/3) exactly
 
+PROFILE_CUTOFF = 40.0  # density profiles decay at least like exp(-3|lam|/2)
+
 ED_CAP = 12  # dense real H (128 MiB) and complex eigenvectors (256 MiB) at N = 12
 
 # generic probe point used to split degenerate H-eigenspaces with t(u0);
@@ -241,11 +243,11 @@ class DensityProfile:
     smooth: object  # callable lam -> density value
     holes: tuple = ()
 
-    def total_integral(self, cutoff: float = 40.0) -> float:
-        """Trapezoid sum of the smooth part on 1601 nodes over [-cutoff, cutoff],
-        plus the atom weights. The profiles here are analytic in a strip
-        around the real axis, so the sum converges geometrically."""
-        x = np.linspace(-cutoff, cutoff, 1601)
+    def total_integral(self) -> float:
+        """Trapezoid sum of the smooth part on 1601 nodes over [-PROFILE_CUTOFF,
+        PROFILE_CUTOFF], plus the atom weights. The profiles here are analytic
+        in a strip around the real axis, so the sum converges geometrically."""
+        x = np.linspace(-PROFILE_CUTOFF, PROFILE_CUTOFF, 1601)
         return float(np.trapezoid(self.smooth(x), x)) + sum(w for _, w in self.holes)
 
 

@@ -128,6 +128,22 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--n", "6", *argv)
         assert code == 0 and len(calls) == builds
 
+    def test_nan_residual_fails_its_check(self, capsys, monkeypatch):
+        from axxz import tqverify
+
+        calls = []
+        cubic = tqverify.verify_cubic
+
+        def nan_on_second_level(*args):
+            calls.append(None)
+            out = cubic(*args)
+            return {**out, "max_relative_residual": math.nan} if len(calls) == 2 else out
+
+        monkeypatch.setattr(tqverify, "verify_cubic", nan_on_second_level)
+        code, out, _ = run(capsys, "verify", "--n", "4")
+        assert code == 2 and len(calls) == 5
+        assert "check,cubic_identity,nan,1e-06,FAIL" in out.splitlines()
+
     def test_size_cap(self, capsys):
         code, _, _ = run(capsys, "verify", "--n", "10")
         assert code == 2

@@ -150,3 +150,159 @@ class TestIdentities:
         f = tqverify.fit_lambda0(zps, params6)
         assert tqverify.verify_bilinear(f, params6)["max_residual"] < 1e-10
         assert tqverify.verify_cubic(f, params6)["max_relative_residual"] < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# per-point reference formulas: the identity checks evaluated one scalar u at
+# a time, as the definitions read
+
+
+def _rel_residual_loop(lhs, terms):
+    scale = max(max(abs(t) for t in terms), abs(lhs), 1e-300)
+    return abs(lhs - sum(terms)) / scale
+
+
+def _ad(u, params):
+    return tqverify.a_function(u, params) * tqverify.d_function(u - ETA, params)
+
+
+def _f3_loop(u, f):
+    lam = tqverify.lambda_from_zeros
+    return lam(u, f) * lam(u - ETA, f) * lam(u - 2 * ETA, f)
+
+
+def _bilinear_loop(f, params):
+    lam = tqverify.lambda_from_zeros
+    resid = [_rel_residual_loop(lam(t, f) * lam(t - ETA, f), (-_ad(t, params),))
+             for t in params.theta_array]
+    return {"residuals": tuple(resid), "max_residual": max(resid)}
+
+
+def _draw_samples_loop(count):
+    rng = np.random.default_rng(71)
+    pts = []
+    while len(pts) < count:
+        u = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        if np.min(np.abs(u.imag - np.pi / 6 * np.arange(-6, 7))) < 0.05:
+            continue
+        pts.append(u)
+    return np.array(pts)
+
+
+def _cubic_loop(f, params, samples):
+    lam = tqverify.lambda_from_zeros
+    sign = (-1) ** params.n_sites
+    resid = []
+    for u in _draw_samples_loop(samples):
+        terms = (
+            -_ad(u, params) * lam(u - 2 * ETA, f),
+            -tqverify.a_function(u - ETA, params) * tqverify.d_function(u - 2 * ETA, params)
+            * lam(u, f),
+            sign * tqverify.a_function(u + ETA, params) * tqverify.d_function(u, params)
+            * lam(u - ETA, f),
+        )
+        resid.append(_rel_residual_loop(_f3_loop(u, f), terms))
+    return {"residuals": tuple(resid), "max_relative_residual": max(resid)}
+
+
+def _f3_properties_loop(f, params):
+    lam = tqverify.lambda_from_zeros
+    n = params.n_sites
+    qp = max(_rel_residual_loop(_f3_loop(u + ETA, f), ((-1) ** (n - 1) * _f3_loop(u, f),))
+             for u in tqverify._CHECK_POINTS)
+    at0, at1, at2 = [], [], []
+    for t in params.theta_array:
+        ad = _ad(t, params)
+        at0.append(_rel_residual_loop(_f3_loop(t, f), (-ad * lam(t - 2 * ETA, f),)))
+        at1.append(_rel_residual_loop(_f3_loop(t + ETA, f), (-ad * lam(t + ETA, f),)))
+        at2.append(_rel_residual_loop(_f3_loop(t + 2 * ETA, f),
+                                      ((-1) ** n * ad * lam(t + ETA, f),)))
+    return {"quasi_periodicity": qp, "at_theta": max(at0),
+            "at_theta_plus_eta": max(at1), "at_theta_plus_2eta": max(at2)}
+
+
+def _fit_residuals_loop(zeros, params):
+    z = np.asarray(zeros)
+    prods = np.array([np.prod(np.sinh(t - z)) * np.prod(np.sinh(t - ETA - z))
+                      for t in params.theta_array])
+    rhs = np.array([-_ad(t, params) for t in params.theta_array])
+    best = int(np.argmax(np.abs(prods)))
+    lam0 = complex(np.sqrt(rhs[best] / prods[best]))
+    return tuple(_rel_residual_loop(lam0 ** 2 * p, (r,)) for p, r in zip(prods, rhs))
+
+
+@pytest.fixture(scope="module", params=[(4, None), (4, 5), (6, None), (6, 6), (8, None), (8, 7)],
+                ids=lambda p: f"n{p[0]}-{'homogeneous' if p[1] is None else f'seed{p[1]}'}")
+def sampled_levels(request):
+    """(params, factored eigenvalues of 5 levels spread over the spectrum)."""
+    n, seed = request.param
+    thetas = None if seed is None else tuple(np.random.default_rng(seed).uniform(-0.1, 0.1, n))
+    params = ModelParams(n_sites=n, thetas=thetas)
+    _, vecs = core.joint_eigenstates(params) if seed is None else core.transfer_eigenbasis(params)
+    levels = np.linspace(0, 2**n - 1, 5).astype(int)
+    return params, [tqverify.spectral_function_from_state(vecs[:, i], params) for i in levels]
+
+
+class TestAgainstLoops:
+    """The array evaluation of each identity against the per-point formulas.
+
+    The evaluation order differs (numpy's array and scalar complex products
+    may round differently, and the at_theta checks carry the two vanishing
+    terms of the cubic identity), so residuals of order 1e-15 agree to 1e-15.
+    """
+
+    def test_bilinear(self, sampled_levels):
+        params, fs = sampled_levels
+        for f in fs:
+            got, want = tqverify.verify_bilinear(f, params), _bilinear_loop(f, params)
+            assert np.allclose(got["residuals"], want["residuals"], rtol=0, atol=1e-15)
+            assert abs(got["max_residual"] - want["max_residual"]) <= 1e-15
+
+    def test_cubic(self, sampled_levels):
+        params, fs = sampled_levels
+        for f in fs:
+            got, want = tqverify.verify_cubic(f, params, 20), _cubic_loop(f, params, 20)
+            assert np.allclose(got["residuals"], want["residuals"], rtol=0, atol=1e-15)
+            assert abs(got["max_relative_residual"] - want["max_relative_residual"]) <= 1e-15
+
+    def test_f3_properties(self, sampled_levels):
+        # at u = th + 2 eta the live term of the cubic identity holds
+        # q(th + 3 eta), where the loop used q(th): equal, as q has period
+        # i pi = 3 eta, but rounded apart by up to a few ulps
+        params, fs = sampled_levels
+        th, q = params.theta_array, tqverify.quantum_determinant
+        period_gap = np.max(np.abs(q(th + 2 * ETA + ETA, params) / q(th, params) - 1))
+        assert period_gap < 5e-15
+        for f in fs:
+            got, want = tqverify.verify_f3_properties(f, params), _f3_properties_loop(f, params)
+            assert got.keys() == want.keys()
+            for key in want:
+                bound = 1e-15 + (period_gap if key == "at_theta_plus_2eta" else 0.0)
+                assert abs(got[key] - want[key]) <= bound, key
+
+    def test_fit_residuals(self, sampled_levels):
+        params, fs = sampled_levels
+        for f in fs:
+            got = tqverify.fit_lambda0(np.asarray(f.zeros), params).fit_residuals
+            assert np.allclose(got, _fit_residuals_loop(f.zeros, params), rtol=0, atol=1e-15)
+
+    def test_draw_samples_reproduces_loop(self):
+        for count in range(1, 201):
+            assert np.array_equal(tqverify._draw_samples(count), _draw_samples_loop(count))
+
+    def test_cubic_cost_independent_of_sample_count(self, params6, joint6, monkeypatch):
+        f = tqverify.spectral_function_from_state(joint6[1][:, 2], params6)
+        calls = []
+        lam = tqverify.lambda_from_zeros
+
+        def counting(u, g):
+            calls.append(np.shape(u))
+            return lam(u, g)
+
+        monkeypatch.setattr(tqverify, "lambda_from_zeros", counting)
+        counts = []
+        for samples in (5, 200):
+            calls.clear()
+            assert len(tqverify.verify_cubic(f, params6, samples)["residuals"]) == samples
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
