@@ -9,6 +9,11 @@ inhomogeneities theta_l,
 and the energy is E = 2 sinh(eta) sum_j coth(z_j) + N cosh(eta). Residuals
 are taken in logarithmic form, reduced mod 2 pi i, which keeps Newton steps
 well-scaled and makes branch bookkeeping explicit.
+
+A labeling is solved in two stages that share one damped-Newton loop: a
+real solve of the idealized counting-function system of the root centres
+gives the seed, and the complex zero-point equations are solved from it.
+Both systems are in tanh form.
 """
 from __future__ import annotations
 
@@ -33,7 +38,8 @@ from .model import (
 )
 
 _POLE_TOL = 1e-14
-_I_SQ3 = 1j * np.sqrt(3.0)  # tanh(eta)
+_SQ3 = np.sqrt(3.0)
+_I_SQ3 = 1j * _SQ3  # tanh(eta)
 _STRING_KICK = 0.045  # nudge string seeds off the exact line, where the
                       # Jacobian of an ideal string is singular
 
@@ -120,46 +126,65 @@ def solve_newton(initial, params: ModelParams, cfg: SolverConfig = SolverConfig(
     already sit at 3.5e-13, 9.1e-13 and 1.8e-12 (6-8 eps*N) at N = 256, 512
     and 1024, out of reach of a fixed tol on the 2-norm of N-1 entries.
     """
-    z = canonicalize(_zeros_of(initial))
-    qn = initial.quantum_numbers if isinstance(initial, ZeroPointSet) else None
-    r = None  # residual at z, carried over from an accepted line-search trial
-    for it in range(cfg.max_iter):
+    floor = 32 * np.finfo(float).eps * params.n_sites
+    z, nr, it = _damped_newton(
+        canonicalize(_zeros_of(initial)),
+        lambda z: bae_residual(z, params),
+        lambda z: bae_jacobian(z, params),
+        lambda r, nr: nr < cfg.tol or np.max(np.abs(r)) <= floor,
+        cfg.max_iter, 40,
+    )
+    if it is None:
+        raise NonConvergenceError(
+            f"no convergence in {cfg.max_iter} iterations (residual {nr:.3e})", float(nr)
+        )
+    _check_collisions(z, cfg.dedupe_tol, float(nr))
+    return ZeroPointSet(
+        zeros=canonicalize(z),
+        energy=energy_from_zeros(z, params),
+        residual=float(nr),
+        iterations=it,
+        quantum_numbers=initial.quantum_numbers if isinstance(initial, ZeroPointSet) else None,
+    )
+
+
+def _damped_newton(x, residual, jacobian, converged, max_iter: int, halvings: int):
+    """Damped Newton from x on residual(x) = 0; the loop of both solves.
+
+    Stops at the first iterate where converged(r, |r|) holds, or else halves
+    the Newton step up to `halvings` times until |r| drops. An accepted
+    trial's residual is reused; after a refused search it is recomputed at
+    the point taken. Returns (x, |r|, it), or (x, |r|, None) after max_iter
+    steps (x unchecked, |r| that of the point before). A non-finite residual
+    or a singular Jacobian raises NonConvergenceError.
+    """
+    r = None  # residual at x, carried over from an accepted line-search trial
+    for it in range(max_iter):
         if r is None:
-            r = bae_residual(z, params)
-        nr = np.linalg.norm(r)
-        if not np.isfinite(nr):
+            r = residual(x)
+        norm = np.linalg.norm(r)
+        if not np.isfinite(norm):
             raise NonConvergenceError(
-                f"residual overflowed after {it} iterations; seed is unusable",
-                float("inf"),
+                f"residual overflowed after {it} iterations; seed is unusable", float("inf")
             )
-        if nr < cfg.tol or np.max(np.abs(r)) <= 32 * np.finfo(float).eps * params.n_sites:
-            _check_collisions(z, cfg.dedupe_tol, float(nr))
-            return ZeroPointSet(
-                zeros=canonicalize(z),
-                energy=energy_from_zeros(z, params),
-                residual=float(nr),
-                iterations=it,
-                quantum_numbers=qn,
-            )
+        if converged(r, norm):
+            return x, norm, it
         try:
-            step = np.linalg.solve(bae_jacobian(z, params), -r)
+            step = np.linalg.solve(jacobian(x), -r)
         except np.linalg.LinAlgError as exc:
             raise NonConvergenceError(
-                f"singular Jacobian after {it} iterations; re-seed", float(nr)
+                f"singular Jacobian after {it} iterations; re-seed", float(norm)
             ) from exc
         scale = 1.0
-        for _ in range(40):
-            r = bae_residual(z + scale * step, params)
-            if np.linalg.norm(r) < nr:
+        for _ in range(halvings):
+            r = residual(x + scale * step)
+            if np.linalg.norm(r) < norm:
                 break
             scale /= 2
         else:  # every halving refused: the step taken below was never tried
             r = None
-        z = z + scale * step
-    raise NonConvergenceError(
-        f"no convergence in {cfg.max_iter} iterations (residual {nr:.3e})",
-        float(nr),
-    )
+        x = x + scale * step
+    return x, norm, None
 
 
 def _check_collisions(z, tol, residual):
@@ -252,23 +277,21 @@ def _require_even(n: int):
 
 
 # Idealized logarithmic system of the centres, by class (0 bulk root,
-# 1 half-line root, 2 string centre): the driving kernel of each class, and
-# the sign and kernel with which a centre of the row class feels one of the
-# column class. int8 keeps the N x N sign and kernel maps small.
-_DRIVE = np.array([1, 2, 1], dtype=np.int8)
-_SIGN = np.array([[1, -1, -1], [1, -1, -1], [1, 1, -1]], dtype=np.int8)
-_KERNEL = np.array([[2, 1, 2], [1, 2, 1], [2, 1, 2]], dtype=np.int8)
+# 1 half-line root, 2 string centre). Each term s theta_m(x) of it is
+# 2 atan(c tanh x) with c = s / tan(m pi/6): _PAIR[a, b] holds c for a
+# centre of class a feeling one of class b, _DRIVE the driving term of each
+# class. m = 1 gives c = s sqrt3, and m = 2 gives c = s / sqrt3.
+_DRIVE = np.array([_SQ3, 1 / _SQ3, _SQ3])
+_PAIR = np.array([[1 / _SQ3, -_SQ3, -1 / _SQ3],
+                  [_SQ3, -1 / _SQ3, -_SQ3],
+                  [1 / _SQ3, _SQ3, -1 / _SQ3]])
 
 
-def _by_kernel(fn, x, m):
-    """Real part of fn(x, m) entrywise, for an array m of kernels 1 and 2."""
-    if np.all(m == m.flat[0]):  # one kernel: no masked copies of x
-        return np.real(fn(x, int(m.flat[0])))
-    out = np.zeros(x.shape)
-    for k in (1, 2):
-        sel = m == k
-        out[sel] = np.real(fn(x[sel], k))
-    return out
+def _tanh_term(c):
+    """x -> 2 atan(c tanh x) and its derivative 1/(p cosh 2x + q), with
+    p = (1 + c^2)/4c and q = (1 - c^2)/4c fixed once for the coefficients c."""
+    p, q = (1 + c**2) / (4 * c), (1 - c**2) / (4 * c)
+    return (lambda x: 2 * np.arctan(c * np.tanh(x))), (lambda x: 1 / (p * np.cosh(2 * x) + q))
 
 
 def _refine_centres(x, cls, numbers, n):
@@ -280,47 +303,24 @@ def _refine_centres(x, cls, numbers, n):
     F_i = theta_{d_i}(x_i) + (1/N) sum_{j != i} s_ij theta_{m_ij}(x_i - x_j)
           - 2 pi n_i / N
 
-    with d, s and m read off the classes of i and j (_DRIVE, _SIGN,
-    _KERNEL). The Jacobian follows from theta_m' = 2 pi a_m; the steps
-    backtrack until the residual norm drops, and the residual of the
-    accepted trial is reused. It stops when |F| < 1e-13 or after 60 steps.
+    with each term in the tanh form of _DRIVE and _PAIR: at most 60 damped
+    Newton steps of up to 30 halvings each, stopping once |F| < 1e-13.
     """
-    drive = _DRIVE[cls]
-    sign = _SIGN[cls[:, None], cls[None, :]]
-    kern = _KERNEL[cls[:, None], cls[None, :]]
+    drive, drive_prime = _tanh_term(_DRIVE[cls])
+    pair, pair_prime = _tanh_term(_PAIR[cls[:, None], cls])
 
     def system(x):
-        d = x[:, None] - x[None, :]
-        th = _by_kernel(thermo.theta_m, d, kern)
-        th *= sign
-        np.fill_diagonal(th, 0.0)
-        return _by_kernel(thermo.theta_m, x, drive) + th.sum(axis=1) / n - 2 * np.pi * numbers / n
+        return drive(x) + pair(x[:, None] - x).sum(axis=1) / n - 2 * np.pi * numbers / n
 
-    f = None  # residual at x, carried over from an accepted line-search trial
-    for _ in range(60):
-        if f is None:
-            f = system(x)
-        norm = np.linalg.norm(f)
-        if norm < 1e-13:
-            break
-        d = x[:, None] - x[None, :]
-        a = _by_kernel(thermo.a_m, d, kern)
-        a *= sign
+    def jacobian(x):
+        a = pair_prime(x[:, None] - x)
         np.fill_diagonal(a, 0.0)
-        jac = -2 * np.pi * a / n
-        np.fill_diagonal(jac, 2 * np.pi * _by_kernel(thermo.a_m, x, drive)
-                         + 2 * np.pi * a.sum(axis=1) / n)
-        step = np.linalg.solve(jac, -f)
-        scale = 1.0
-        for _ in range(30):
-            f = system(x + scale * step)
-            if np.linalg.norm(f) < norm:
-                break
-            scale /= 2
-        else:  # every halving refused: the step taken below was never tried
-            f = None
-        x = x + scale * step
-    return x
+        diag = drive_prime(x) + a.sum(axis=1) / n
+        a /= -n
+        np.fill_diagonal(a, diag)
+        return a
+
+    return _damped_newton(x, system, jacobian, lambda f, norm: norm < 1e-13, 60, 30)[0]
 
 
 def seed_from_quantum_numbers(qn: QuantumNumberSet, params: ModelParams) -> ZeroPointSet:

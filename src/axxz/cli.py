@@ -16,15 +16,17 @@ when it holds an array and on one line otherwise; a complex value is
 str. A result with no document (a corrupted table1 fixture) is written as
 rows in both formats.
 
-Exit codes: 0 success, 2 invalid input (thermo --n below 2, a thermo option
-that does not apply to the quantity, and table1 --tol not positive included)
-or failed validation, 3 solver non-convergence or a root collision after
+Exit codes: 0 success, 2 invalid input (a float option that is NaN or
+infinite, thermo --n below 2, a thermo or bae option that does not apply to
+the quantity or pattern, and table1 --tol not positive included) or failed
+validation, 3 solver non-convergence or a root collision after
 convergence, 4 I/O failure.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -53,6 +55,7 @@ from .model import (
 _QUANTITIES = ("eg", "de1", "de2", "rho", "drho1", "drho2", "delta")
 _PROCESSES = ("I_I", "II_II", "I_II")
 _PATTERNS = ("ground", "type_I", "type_II")
+_BAE_OPTIONS = {"ground": (), "type_I": ("number",), "type_II": ("position",)}
 
 
 def _cnum(z: complex) -> dict:
@@ -85,14 +88,15 @@ def run_ed(cfg: argparse.Namespace):
 
 
 def _quantum_numbers(cfg: argparse.Namespace):
+    for opt in ("number", "position"):
+        if getattr(cfg, opt) is not None and opt not in _BAE_OPTIONS[cfg.pattern]:
+            raise ValueError(f"--{opt} does not apply to --pattern {cfg.pattern}")
     if cfg.pattern == "ground":
         return bae.ground_numbers(cfg.n)
     if cfg.pattern == "type_I":
         if cfg.number is None:
             raise ValueError("type_I needs --number (the half-line quantum number J)")
         return bae.type_one_numbers(cfg.n, cfg.number)
-    if cfg.number is not None and cfg.position is None:
-        raise ValueError("type_II takes --position, not --number")
     if cfg.position is None:
         raise ValueError("type_II needs --position (1-based gap slot)")
     return bae.type_two_numbers(cfg.n, cfg.position)
@@ -344,6 +348,17 @@ _DISPATCH = {
 }
 
 
+def _finite_float(text: str) -> float:
+    """Type of every float option: NaN and infinities exit 2 with the flag named."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, help="write output to a file instead of stdout")
@@ -366,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", choices=_PATTERNS, default="ground")
     p.add_argument("--number", type=int, default=None, help="half-line number J (type_I)")
     p.add_argument("--position", type=int, default=None, help="1-based gap slot (type_II)")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_finite_float, default=None)
     _add_common(p)
 
     p = sub.add_parser("verify", help="transfer-matrix and factored-form identity checks")
@@ -379,19 +394,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("thermo", help="closed-form limit quantities")
     p.add_argument("--quantity", choices=_QUANTITIES, required=True)
-    p.add_argument("--alpha", type=float, default=None, help="rapidity (default 0)")
-    p.add_argument("--hole-pos", dest="hole_pos", type=float, default=None)
+    p.add_argument("--alpha", type=_finite_float, default=None, help="rapidity (default 0)")
+    p.add_argument("--hole-pos", dest="hole_pos", type=_finite_float, default=None)
     p.add_argument("--n", type=int, default=None, help="finite size for 1/N corrections")
     _add_common(p)
 
     p = sub.add_parser("scatter", help="two-body scattering amplitude")
     p.add_argument("--process", choices=_PROCESSES, required=True)
-    p.add_argument("--a1", type=float, default=0.0)
-    p.add_argument("--a2", type=float, default=0.0)
+    p.add_argument("--a1", type=_finite_float, default=0.0)
+    p.add_argument("--a2", type=_finite_float, default=0.0)
     _add_common(p)
 
     p = sub.add_parser("table1", help="re-converge the bundled N = 6 table against ED")
-    p.add_argument("--tol", type=float, default=None, help="energy tolerance (default 1e-3)")
+    p.add_argument("--tol", type=_finite_float, default=None,
+                   help="energy tolerance (default 1e-3)")
     p.add_argument("--fixture", default=None, help="alternate fixture CSV path")
     _add_common(p)
 

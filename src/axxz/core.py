@@ -361,17 +361,15 @@ def transfer_eigenvalue_on_state(u, params: ModelParams, state: np.ndarray):
 def hamiltonian_from_transfer(params: ModelParams, vectors) -> np.ndarray:
     """H @ vectors, shape (2^N, K), as -2 sinh(eta) t'(0) t(0)^{-1} + N cosh(eta).
 
-    Only defined at zero thetas. There t(0) is a permutation with
-    t(0)^N = U, the index reversal, so t(0)^{-1} X = t(0)^(N-1) X[::-1].
+    Only defined at zero thetas. There t(0) is the twisted translation G,
+    t(0)|i> = |_twist(i)>, so t(0)^{-1} X is the gather X[_twist(i)].
     t(u) holds only the frequencies e^{fu}, f = -N..N, so one FFT of 2N+2
     samples on the imaginary axis gives every coefficient and t'(0) exactly.
     """
     _check_zero_thetas(params, "transfer-derivative construction")
     n = params.n_sites
     x = np.asarray(vectors, dtype=complex).reshape(2**n, -1)
-    y = x[::-1]
-    for _ in range(n - 1):
-        y = apply_transfer(0.0, params, y)[0]
+    y = x[_twist(np.arange(2**n), n)]
     m = 2 * n + 2
     spec = np.fft.fft(apply_transfer(2j * np.pi * np.arange(m) / m, params, y), axis=0) / m
     dt = np.tensordot(np.fft.fftfreq(m, 1 / m), spec, axes=1)

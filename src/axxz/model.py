@@ -95,9 +95,11 @@ class SolverConfig:
     dedupe_tol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("tol", "max_iter", "dedupe_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.max_iter <= 0:
+            raise ValueError("max_iter must be positive")
+        for name in ("tol", "dedupe_tol"):
+            if not 0 < getattr(self, name) < np.inf:  # a NaN fails both comparisons
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
 
 @dataclass

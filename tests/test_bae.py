@@ -108,6 +108,58 @@ class TestTanhForm:
             fn(on_pair, params)
 
 
+# The idealized seed system by class (0 bulk root, 1 half-line root,
+# 2 string centre) in its theta_m form: kernel of the driving term, and sign
+# and kernel with which a centre of the row class feels one of the column class.
+_DRIVE_KERNEL = (1, 2, 1)
+_PAIR_SIGN = ((1, -1, -1), (1, -1, -1), (1, 1, -1))
+_PAIR_KERNEL = ((2, 1, 2), (1, 2, 1), (2, 1, 2))
+
+
+def _seed_system_loop(x, cls, numbers, n):
+    """The seed system and its Jacobian term by term through thermo.theta_m
+    and its derivative 2 pi a_m: the oracle for the tanh form in bae."""
+    f, jac = np.zeros(len(x)), np.zeros((len(x), len(x)))
+    for i, a in enumerate(cls):
+        f[i] = thermo.theta_m(x[i], _DRIVE_KERNEL[a]) - 2 * np.pi * numbers[i] / n
+        jac[i, i] = 2 * np.pi * thermo.a_m(x[i], _DRIVE_KERNEL[a])
+        for j, b in enumerate(cls):
+            if j != i:
+                s, m = _PAIR_SIGN[a][b], _PAIR_KERNEL[a][b]
+                f[i] += s * thermo.theta_m(x[i] - x[j], m) / n
+                jac[i, j] = -2 * np.pi * s * thermo.a_m(x[i] - x[j], m) / n
+                jac[i, i] -= jac[i, j]
+    return f, jac
+
+
+class TestSeedSystem:
+    """The tanh-form seed system against s theta_m and 2 pi s a_m, over all
+    nine class pairs and all three driving classes."""
+
+    @staticmethod
+    def _system(monkeypatch, cls, numbers, n):
+        """The residual and Jacobian that seeding hands to the shared Newton loop."""
+        got = []
+
+        def capture(x, residual, jacobian, *rest):
+            got.append((residual, jacobian))
+            return x, 0.0, 0
+
+        monkeypatch.setattr(bae, "_damped_newton", capture)
+        bae._refine_centres(np.zeros(len(cls)), cls, numbers, n)
+        return got[0]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_theta_m_form(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        cls = rng.permutation(np.repeat([0, 1, 2], [6, 3, 3]))
+        numbers, x = rng.uniform(-5, 5, 12), rng.uniform(-3, 3, 12)
+        residual, jacobian = self._system(monkeypatch, cls, numbers, 14)
+        f, jac = _seed_system_loop(x, cls, numbers, 14)
+        assert np.max(np.abs(residual(x) - f)) < 1e-14
+        assert np.max(np.abs(jacobian(x) - jac)) < 1e-14
+
+
 class TestResidual:
     def test_converged_set_has_tiny_residual(self, table_rows, params6):
         zps = bae.solve_newton(ZeroPointSet.from_shifted(table_rows[0]["lambdas"]), params6)
@@ -320,45 +372,36 @@ class TestSeeding:
         assert len(bae.classify_roots(zps, tol=0.1).half_line) == 1
 
     @staticmethod
-    def _record_drive_calls(monkeypatch, theta):
-        """Record the 1-D argument of each thermo.theta_m call. For a ground
-        labeling that is the drive term, one call per residual of the
-        idealized system."""
+    def _record_seed_residuals(monkeypatch, wrap):
+        """Record the point of each residual evaluation in the shared Newton
+        loop; wrap(system) gives the residual the loop sees. Seeding calls
+        that loop once, on the idealized system."""
         calls = []
-        real = thermo.theta_m
+        loop = bae._damped_newton
 
-        def recording(x, m):
-            if np.ndim(x) == 1:
-                calls.append(np.array(x, copy=True))
-                return theta(x, m)
-            return real(x, m)
+        def recording(x, residual, *rest):
+            def traced(y):
+                calls.append(np.array(y, copy=True))
+                return wrap(residual)(y)
+            return loop(x, traced, *rest)
 
-        monkeypatch.setattr(thermo, "theta_m", recording)
+        monkeypatch.setattr(bae, "_damped_newton", recording)
         return calls
 
     def test_residual_not_recomputed_at_accepted_point(self, monkeypatch):
         params = ModelParams(n_sites=64)
-        calls = self._record_drive_calls(monkeypatch, thermo.theta_m)
+        calls = self._record_seed_residuals(monkeypatch, lambda system: system)
         bae.seed_from_quantum_numbers(bae.ground_numbers(64), params)
         assert len(calls) > 2
         assert not any(np.array_equal(a, b) for a, b in zip(calls, calls[1:]))
 
     def test_residual_recomputed_after_refused_line_search(self, monkeypatch):
-        # a drive term that grows on every call refuses all 30 halvings, so
+        # a residual that grows on every call refuses all 30 halvings, so
         # the point taken (step / 2^30) differs from the last trial evaluated
-        class Stop(Exception):
-            pass
-
-        def growing(x, m):
-            if len(calls) == 62:
-                raise Stop
-            return np.full(len(x), 1e3 * len(calls))
-
-        params = ModelParams(n_sites=8)
-        calls = self._record_drive_calls(monkeypatch, growing)
-        with pytest.raises(Stop):
-            bae.seed_from_quantum_numbers(bae.ground_numbers(8), params)
-        assert len(calls) == 62  # per iteration: the new point, then 30 trials
+        calls = self._record_seed_residuals(
+            monkeypatch, lambda system: lambda y: np.full(len(y), 1e3 * len(calls)))
+        bae.seed_from_quantum_numbers(bae.ground_numbers(8), ModelParams(n_sites=8))
+        assert len(calls) == 60 * 31  # per iteration: the new point, then 30 trials
         assert not np.array_equal(calls[31], calls[30])
         assert not np.array_equal(calls[31], calls[0])
 

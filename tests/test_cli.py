@@ -19,7 +19,10 @@ GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text())
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse refused an argument
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out.rstrip("\n"), out.err
 
@@ -85,6 +88,16 @@ class TestBae:
     def test_zero_tol_rejected(self, capsys):
         code, _, err = run(capsys, "bae", "--n", "6", "--tol", "0")
         assert code == 2 and "tol" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--number", "3"], "--number"),
+        (["--position", "3"], "--position"),
+        (["--pattern", "type_I", "--number", "1", "--position", "2"], "--position"),
+        (["--pattern", "type_II", "--position", "1", "--number", "2"], "--number"),
+    ], ids=["ground-number", "ground-position", "type_I-position", "type_II-number"])
+    def test_option_that_does_not_apply_rejected(self, capsys, argv, flag):
+        code, out, err = run(capsys, "bae", "--n", "8", *argv)
+        assert code == 2 and flag in err and out == ""
 
     def test_collision_is_solver_failure(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "SolverConfig",
@@ -272,6 +285,22 @@ class TestTable1:
     def test_missing_fixture_is_io_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "table1", "--fixture", str(tmp_path / "nope.csv"))
         assert code == 4
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["thermo", "--quantity", "de1", "--alpha", "nan"], "--alpha"),
+    (["thermo", "--quantity", "delta", "--hole-pos", "nan"], "--hole-pos"),
+    (["scatter", "--process", "I_I", "--a1", "nan"], "--a1"),
+    (["scatter", "--process", "I_I", "--a2", "inf"], "--a2"),
+    (["bae", "--n", "8", "--tol", "nan"], "--tol"),
+    (["bae", "--n", "8", "--pattern", "type_II", "--position", "1", "--tol", "inf"], "--tol"),
+    (["table1", "--tol", "nan"], "--tol"),
+    (["table1", "--tol", "1e999"], "--tol"),
+], ids=["alpha-nan", "hole-pos-nan", "a1-nan", "a2-inf", "bae-tol-nan", "bae-tol-inf",
+        "table1-tol-nan", "table1-tol-overflow"])
+def test_non_finite_float_option_rejected(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and f"argument {flag}: expected a finite number" in err and out == ""
 
 
 class TestOutput:

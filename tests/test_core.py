@@ -191,9 +191,31 @@ class TestTransfer:
         assert rel(core.hamiltonian_from_transfer(params, x),
                    core.build_hamiltonian(params) @ x) <= 1e-13
 
+    def test_hamiltonian_from_transfer_applies_t_once(self, monkeypatch, params6):
+        # t(0)^{-1} is a gather, so the only transfer action is the FFT grid
+        calls = []
+        real = core.apply_transfer
+
+        def recording(u, params, vectors):
+            calls.append(np.atleast_1d(u))
+            return real(u, params, vectors)
+
+        monkeypatch.setattr(core, "apply_transfer", recording)
+        core.hamiltonian_from_transfer(params6, np.eye(64)[:, :2])
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], 2j * np.pi * np.arange(14) / 14)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
+    def test_t0_is_twisted_translation(self, n):
+        # at zero thetas t(0)|i> = |G i>, which hamiltonian_from_transfer uses to invert t(0)
+        idx = np.arange(2**n)
+        perm = np.zeros((2**n, 2**n))
+        perm[core._twist(idx, n), idx] = 1
+        assert np.array_equal(core.build_transfer_matrix(0.0, ModelParams(n_sites=n)), perm)
+
     @pytest.mark.parametrize("n", range(2, 11))
     def test_t0_power_n_is_spin_flip(self, n):
-        # at zero thetas t(0)^N = U, which hamiltonian_from_transfer uses to invert t(0)
+        # at zero thetas t(0)^N = G^N = U
         params = ModelParams(n_sites=n)
         x = np.random.default_rng(400 + n).normal(size=2**n)
         y = x
@@ -385,6 +407,12 @@ class TestModelTypes:
             SolverConfig(tol=-1.0)
         with pytest.raises(ValueError):
             SolverConfig(max_iter=0)
+
+    @pytest.mark.parametrize("field", ["tol", "dedupe_tol"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_solver_config_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
+            SolverConfig(**{field: value})
 
     def test_zero_point_set_shift_roundtrip(self):
         lam = np.array([0.3, -0.1 + 0.2j])
