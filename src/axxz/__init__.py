@@ -6,7 +6,7 @@ eigenvalue factors over N-1 zero points, the zeros obey closed Bethe-type
 equations, and the large-N limit has closed-form densities, dispersions and
 scattering amplitudes. Submodules:
 
-    core      operators: R matrix, Hamiltonian, transfer action t(u) X, ED
+    core      operators: Hamiltonian, transfer action t(u) X, ED
     bae       zero-point equations: residuals, Newton solver, quantum numbers
     tqverify  factored-eigenvalue extraction and functional identity checks
     thermo    large-N closed forms and finite-size density checks

@@ -10,10 +10,11 @@ and the energy is E = 2 sinh(eta) sum_j coth(z_j) + N cosh(eta). Residuals
 are taken in logarithmic form, reduced mod 2 pi i, which keeps Newton steps
 well-scaled and makes branch bookkeeping explicit.
 
-A labeling is solved in two stages that share one damped-Newton loop: a
-real solve of the idealized counting-function system of the root centres
-gives the seed, and the complex zero-point equations are solved from it.
-Both systems are in tanh form.
+A labeling is solved in two stages that share one damped-Newton loop: a real
+solve of the idealized counting-function system of the root centres gives the
+seed, and the complex zero-point equations are solved from it. Both systems are
+in tanh form. The zero-point residual, its Jacobian and the collision check run
+over row blocks of _BLOCK entries, with one theta factor per distinct theta.
 """
 from __future__ import annotations
 
@@ -38,6 +39,7 @@ from .model import (
 )
 
 _POLE_TOL = 1e-14
+_BLOCK = 1 << 14  # entries per row block of the residual, Jacobian and collision check
 _SQ3 = np.sqrt(3.0)
 _I_SQ3 = 1j * _SQ3  # tanh(eta)
 _STRING_KICK = 0.045  # nudge string seeds off the exact line, where the
@@ -58,17 +60,19 @@ def _zeros_of(zeros) -> np.ndarray:
     return np.asarray(zeros, dtype=complex)
 
 
-def _tanh_matrices(zeros, params: ModelParams):
-    """t = tanh(z_j - theta_l) and tanh(z_j - z_k), refused on a pole of the equations."""
-    z = _zeros_of(zeros)
-    t_th, t_zz = np.tanh(z[:, None] - params.theta_array), np.tanh(z[:, None] - z)
-    near = (abs(t_th) < _POLE_TOL).any(axis=1)
-    for t, pole in ((t_th, -_I_SQ3), (t_zz, _I_SQ3), (t_zz, -_I_SQ3)):
-        near |= (abs(t - pole) < _POLE_TOL).any(axis=1)
-    rows = np.flatnonzero(near)
-    if rows.size:
-        raise SingularConfigurationError(f"root {rows[0]} sits on a pole of the equations")
-    return t_th, t_zz
+def _row_blocks(z, params: ModelParams):
+    """(lo, tanh(z_j - theta) per distinct theta, tanh(z_j - z_k)) for each block of
+    rows j = lo, lo + 1, ...; the first root on a pole of the equations is refused."""
+    thetas, step = params.theta_groups[0], max(1, _BLOCK // params.n_sites)
+    for lo in range(0, len(z), step):
+        t_th, t_zz = np.tanh(z[lo:lo + step, None] - thetas), np.tanh(z[lo:lo + step, None] - z)
+        near = (abs(t_th) < _POLE_TOL).any(axis=1)
+        for t, pole in ((t_th, -_I_SQ3), (t_zz, _I_SQ3), (t_zz, -_I_SQ3)):
+            near |= (abs(t - pole) < _POLE_TOL).any(axis=1)
+        rows = np.flatnonzero(near)
+        if rows.size:
+            raise SingularConfigurationError(f"root {lo + rows[0]} sits on a pole of the equations")
+        yield lo, t_th, t_zz
 
 
 def _log(w):
@@ -86,10 +90,14 @@ def bae_residual(zeros, params: ModelParams) -> np.ndarray:
     at t = tanh(z_j - theta_l), and sinh(d + eta)/sinh(d - eta) =
     (t + i sqrt3)/(t - i sqrt3) at t = tanh(z_j - z_k).
     """
-    t_th, t_zz = _tanh_matrices(zeros, params)
-    pair = _log((t_zz + _I_SQ3) / (t_zz - _I_SQ3))
-    np.fill_diagonal(pair, 0.0)
-    d = _log(-2 * t_th / (t_th + _I_SQ3)).sum(axis=1) - pair.sum(axis=1)
+    z, inverse = _zeros_of(zeros), params.theta_groups[1]
+    d = np.empty(len(z), dtype=complex)
+    for lo, t_th, t_zz in _row_blocks(z, params):
+        pair = _log((t_zz + _I_SQ3) / (t_zz - _I_SQ3))
+        np.fill_diagonal(pair[:, lo:], 0.0)
+        # take, unlike [:, inverse], returns C order: each row then sums pairwise
+        theta = _log(-2 * t_th / (t_th + _I_SQ3)).take(inverse, axis=1)
+        d[lo:lo + len(pair)] = theta.sum(axis=1) - pair.sum(axis=1)
     return d - 2j * np.pi * np.round(d.imag / (2 * np.pi))
 
 
@@ -97,11 +105,14 @@ def bae_jacobian(zeros, params: ModelParams) -> np.ndarray:
     """Analytic Jacobian of bae_residual, from d/dx log f(tanh x) = (1 - t^2) f'(t)/f(t)
     on each factor; the diagonal also subtracts the pair entries of its row.
     Each f'/f is one fraction, so no two near-equal terms cancel at large |t|."""
-    t_th, t_zz = _tanh_matrices(zeros, params)
-    jac = (1 - t_zz**2) * (-2 * _I_SQ3) / (t_zz**2 + 3)
-    np.fill_diagonal(jac, 0.0)
-    diag = ((1 - t_th**2) * _I_SQ3 / (t_th * (t_th + _I_SQ3))).sum(axis=1) - jac.sum(axis=1)
-    np.fill_diagonal(jac, diag)
+    z, inverse = _zeros_of(zeros), params.theta_groups[1]
+    jac = np.empty((len(z), len(z)), dtype=complex)
+    for lo, t_th, t_zz in _row_blocks(z, params):
+        block = np.divide((1 - t_zz**2) * (-2 * _I_SQ3), t_zz**2 + 3, out=jac[lo:lo + len(t_zz)])
+        np.fill_diagonal(block[:, lo:], 0.0)
+        # not t * (t + c): numpy's temporary elision swaps the factors on large arrays
+        f = (1 - t_th**2) * _I_SQ3 / np.multiply(t_th, t_th + _I_SQ3)
+        np.fill_diagonal(block[:, lo:], f.take(inverse, axis=1).sum(axis=1) - block.sum(axis=1))
     return jac
 
 
@@ -189,12 +200,13 @@ def _damped_newton(x, residual, jacobian, converged, max_iter: int, halvings: in
 
 def _check_collisions(z, tol, residual):
     zc = canonicalize(z)
-    close = np.triu(np.abs(zc[:, None] - zc) < tol, 1)
-    if close.any():
-        j, k = divmod(int(np.argmax(close)), len(zc))  # first pair, row-major
-        raise RootCollisionError(
-            f"roots {j} and {k} collided within {tol:g}; solve is invalid", residual
-        )
+    step = max(1, _BLOCK // max(len(zc), 1))
+    for lo in range(0, len(zc), step):  # row blocks, so the first pair is row-major
+        close = np.triu(np.abs(zc[lo:lo + step, None] - zc) < tol, 1 + lo)
+        if close.any():
+            j, k = divmod(int(np.argmax(close)), len(zc))
+            raise RootCollisionError(f"roots {lo + j} and {k} collided within {tol:g}; "
+                                     "solve is invalid", residual)
 
 
 # ---------------------------------------------------------------------------

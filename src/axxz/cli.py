@@ -415,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    cfg = build_parser().parse_args(argv)
     try:
+        cfg = build_parser().parse_args(argv)
         code, doc, rows = _DISPATCH[cfg.command](cfg)
         text = _render(cfg.fmt, doc, rows)
         if cfg.out is None:
@@ -424,6 +424,8 @@ def main(argv=None) -> int:
         else:
             with open(cfg.out, "w") as fh:
                 fh.write(text + "\n")
+    except SystemExit as exc:  # argparse printed its help (0) or a usage error (2)
+        return exc.code
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

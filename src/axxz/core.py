@@ -1,7 +1,7 @@
-"""R-matrix, transfer matrix and Hamiltonian for small chains.
+"""Transfer matrix and Hamiltonian for small chains.
 
-Builds the six-vertex R-matrix and the antiperiodic XXZ Hamiltonian, and
-gives the twisted transfer matrix
+Builds the antiperiodic XXZ Hamiltonian and gives the twisted transfer
+matrix, contracted from the two weights of the six-vertex R-matrix,
 t(u) = tr_0{ sigma^x_0 R_0N(u - theta_N) ... R_01(u - theta_1) } on vectors:
 `apply_transfer` costs O(N 2^N) work per u and column, without forming the
 matrix. Every check of t(u) goes through it, including the joint eigenbasis
@@ -52,25 +52,6 @@ def _check_zero_thetas(params: ModelParams, what: str):
 def _r_weights(u):
     """The two R-matrix weights sinh(u + eta)/sinh(eta) and sinh(u)/sinh(eta)."""
     return np.sinh(u + ETA) / SINH_ETA, np.sinh(u) / SINH_ETA
-
-
-def build_r_matrix(u: complex) -> np.ndarray:
-    """4x4 six-vertex R-matrix on auxiliary (x) quantum space.
-
-    Diagonal sinh(u + eta)/sinh(eta) in the aligned sectors, sinh(u)/sinh(eta)
-    plus unit off-diagonal hopping in the mixed sector. R(0) is the
-    permutation matrix.
-    """
-    bp, bm = _r_weights(u)
-    return np.array(
-        [
-            [bp, 0, 0, 0],
-            [0, bm, 1, 0],
-            [0, 1, bm, 0],
-            [0, 0, 0, bp],
-        ],
-        dtype=complex,
-    )
 
 
 def build_hamiltonian(params: ModelParams) -> np.ndarray:

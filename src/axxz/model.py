@@ -8,6 +8,7 @@ without being formed), so exact diagonalization is capped at ED_CAP sites.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -86,6 +87,10 @@ class ModelParams:
     @property
     def theta_array(self) -> np.ndarray:
         return np.asarray(self.thetas, dtype=complex)
+
+    @cached_property  # kept on the instance, not a field: eq, hash and repr ignore it
+    def theta_groups(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.unique(self.theta_array, return_inverse=True)  # distinct, index of each
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,11 @@ on ED levels. Everything else (residual reduction, branch invariance,
 classification) supports that comparison.
 """
 import functools
+import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -106,6 +108,85 @@ class TestTanhForm:
         on_pair[4] = on_pair[1] + ETA
         with pytest.raises(SingularConfigurationError, match="root 1 sits on a pole"):
             fn(on_pair, params)
+
+
+class TestRowBlocks:
+    """The residual, Jacobian and collision check split into several row blocks."""
+
+    @staticmethod
+    def _system(n, seed, repeated):
+        z, params = _random_system(n, seed)
+        if repeated:  # a few distinct thetas, each at several sites
+            thetas = np.resize([0.1, 0.1, -0.2, 0.1, 0.3, -0.2], n)
+            params = ModelParams(n_sites=n, thetas=tuple(thetas))
+        return z, params
+
+    @pytest.mark.parametrize("repeated", [False, True])
+    @pytest.mark.parametrize("n", range(7, 17))
+    def test_uneven_blocks_match_loop_definitions(self, monkeypatch, n, repeated):
+        z, params = self._system(n, 200 + n, repeated)
+        whole = bae.bae_residual(z, params), bae.bae_jacobian(z, params)
+        monkeypatch.setattr(bae, "_BLOCK", 40)  # 2 to 5 rows a block, the last one short
+        res, jac = bae.bae_residual(z, params), bae.bae_jacobian(z, params)
+        d = res - _residual_loop(z, params)
+        d -= 2j * np.pi * np.round(d.imag / (2 * np.pi))
+        assert np.max(np.abs(d)) < 1e-12
+        ref = _jacobian_loop(z, params)
+        assert np.max(np.abs(jac - ref)) < 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(res, whole[0]) and np.array_equal(jac, whole[1])
+
+    @pytest.mark.parametrize("fn", [bae.bae_residual, bae.bae_jacobian])
+    def test_pole_in_a_later_block_names_its_root(self, monkeypatch, fn):
+        z, params = self._system(8, 3, True)
+        monkeypatch.setattr(bae, "_BLOCK", 16)  # two rows a block
+        on_theta = z.copy()
+        on_theta[5] = params.thetas[2]
+        with pytest.raises(SingularConfigurationError, match="root 5 sits on a pole"):
+            fn(on_theta, params)
+        on_pair = z.copy()
+        on_pair[6] = on_pair[3] + ETA  # rows 3 and 6 both sit on the pole
+        with pytest.raises(SingularConfigurationError, match="root 3 sits on a pole"):
+            fn(on_pair, params)
+        both = on_theta.copy()
+        both[2] = params.thetas[0]
+        with pytest.raises(SingularConfigurationError, match="root 2 sits on a pole"):
+            fn(both, params)
+
+    @pytest.mark.parametrize("z, pair", [
+        ([0.1, 0.2, 0.3, 0.7, 0.3 + 1e-9, 0.7, 0.2 + 2e-9j], (1, 6)),
+        ([0.1, 0.2, 0.3, 0.7, 0.3 + 1e-9, 0.7], (2, 4)),
+        ([0.1, 0.2, 0.3, 0.7, 0.9, 0.9 + 1e-9], (4, 5)),
+    ])
+    def test_collision_across_blocks_names_first_pair(self, monkeypatch, z, pair):
+        z = np.array(z)
+        first = next((j, k) for j in range(len(z)) for k in range(j + 1, len(z))
+                     if abs(z[j] - z[k]) < 1e-8)
+        monkeypatch.setattr(bae, "_BLOCK", 2 * len(z))  # two rows a block
+        with pytest.raises(RootCollisionError, match=f"roots {pair[0]} and {pair[1]} collided"):
+            bae._check_collisions(z, 1e-8, 0.0)
+        assert first == pair
+        bae._check_collisions(np.arange(7.0), 1e-8, 0.0)  # no pair, diagonal of every block
+
+    def test_working_memory_is_one_block(self):
+        z, params = _random_system(512, 5)
+        bae.bae_residual(z, params)  # the distinct thetas are kept on params from here on
+        for fn, allowed in ((bae.bae_residual, 4 << 20),
+                            (bae.bae_jacobian, 511 * 511 * 16 + (4 << 20))):
+            tracemalloc.start()
+            try:
+                fn(z, params)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < allowed, (fn.__name__, peak)
+
+    def test_distinct_thetas_kept_outside_the_fields(self):
+        thetas = (0.1, 0.1, -0.2, 0.1)
+        a, b = ModelParams(n_sites=4, thetas=thetas), ModelParams(n_sites=4, thetas=thetas)
+        groups = a.theta_groups
+        assert a.theta_groups is groups
+        assert np.array_equal(groups[0], [-0.2, 0.1]) and np.array_equal(groups[1], [1, 1, 0, 1])
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
 
 
 # The idealized seed system by class (0 bulk root, 1 half-line root,
@@ -417,6 +498,38 @@ class TestSeeding:
         sizes = [int(line.split()[0]) for line in proc.stdout.splitlines()
                  if line.split() and line.split()[0].isdigit()]
         assert sizes == [8, 16, 32]
+
+    def test_solver_parity_script_runs(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (str(root / "src"), os.environ.get("PYTHONPATH"))))}
+        script = [sys.executable, str(root / "scripts" / "solver_parity.py")]
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        subprocess.run(script + ["--nmax", "8", "--out", str(a)], check=True, env=env,
+                       timeout=60)
+        records = [json.loads(line) for line in a.read_text().splitlines()]
+        assert [(r["n"], r["label"]) for r in records] == [
+            (n, label) for n in (4, 6, 8) for label, _ in bae.enumerate_seed_sets(n)]
+        ground = records[0]
+        assert ground["outcome"] == "converged" and ground["residual_calls"] >= 1
+        assert len(ground["roots"]) == 3
+        failed = [r for r in records if r["outcome"] == "failed"]
+        assert failed and all(r["error"] and r["message"] for r in failed)
+
+        records[1]["energy"] += 1e-15
+        records[2]["roots"][0][0] = float.hex(float.fromhex(records[2]["roots"][0][0]) + 1e-14)
+        b.write_text("".join(json.dumps(r) + "\n" for r in records[:-1]))
+        same = subprocess.run(script + ["--compare", str(a), str(a)], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert (same.returncode, same.stdout) == (0, "no differences\n")
+        diff = subprocess.run(script + ["--compare", str(a), str(b)], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert diff.returncode == 1
+        lines = diff.stdout.splitlines()
+        assert len(lines) == 3
+        assert lines[0].startswith(f"N=4 {records[1]['label']}: energy ")
+        assert lines[1].startswith(f"N=4 {records[2]['label']}: 1 roots moved")
+        assert lines[2] == f"N=8 {records[-1]['label']}: only in {a}"
 
 
 class TestClassification:

