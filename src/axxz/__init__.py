@@ -34,7 +34,6 @@ from .model import (
     RootPattern,
     ScatteringAmplitude,
     SingularConfigurationError,
-    SolverConfig,
     SpectralFunction,
     SpectrumResult,
     ZeroPointSet,
@@ -44,7 +43,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ETA", "SINH_ETA", "COSH_ETA", "ED_CAP", "U_PROBE",
-    "ModelParams", "SolverConfig", "SpectrumResult", "Excitation",
+    "ModelParams", "SpectrumResult", "Excitation",
     "QuantumNumberSet", "RootPattern", "ZeroPointSet", "SpectralFunction",
     "DensityProfile", "ExcitationSpec", "ScatteringAmplitude",
     "CapacityError", "DegeneracyResolutionError",

@@ -34,11 +34,13 @@ from .model import (
     RootCollisionError,
     RootPattern,
     SingularConfigurationError,
-    SolverConfig,
     ZeroPointSet,
 )
 
 _POLE_TOL = 1e-14
+_TOL = 1e-12  # default Newton stop on the residual 2-norm
+_MAX_ITER = 200  # Newton iterations before NonConvergenceError
+_DEDUPE_TOL = 1e-8  # two converged roots closer than this are a collision
 _BLOCK = 1 << 14  # entries per row block of the residual, Jacobian and collision check
 _SQ3 = np.sqrt(3.0)
 _I_SQ3 = 1j * _SQ3  # tanh(eta)
@@ -127,35 +129,36 @@ def energy_from_zeros(zeros, params: ModelParams) -> float:
     return float(e.real)
 
 
-def solve_newton(initial, params: ModelParams, cfg: SolverConfig = SolverConfig()) -> ZeroPointSet:
+def solve_newton(initial, params: ModelParams, tol: float = _TOL) -> ZeroPointSet:
     """Damped Newton iteration on the logarithmic residuals.
 
     Full analytic Jacobian, backtracking line search that halves the step
     until the residual norm drops. Near a solution convergence is quadratic;
     a converged input returns in zero iterations. It stops when the residual
-    2-norm is below cfg.tol or its max-norm is at most 32*eps*N: ground seeds
+    2-norm is below tol or its max-norm is at most 32*eps*N: ground seeds
     already sit at 3.5e-13, 9.1e-13 and 1.8e-12 (6-8 eps*N) at N = 256, 512
     and 1024, out of reach of a fixed tol on the 2-norm of N-1 entries.
     """
+    if not 0 < tol < np.inf:  # a NaN fails both comparisons
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     floor = 32 * np.finfo(float).eps * params.n_sites
     z, nr, it = _damped_newton(
         canonicalize(_zeros_of(initial)),
         lambda z: bae_residual(z, params),
         lambda z: bae_jacobian(z, params),
-        lambda r, nr: nr < cfg.tol or np.max(np.abs(r)) <= floor,
-        cfg.max_iter, 40,
+        lambda r, nr: nr < tol or np.max(np.abs(r)) <= floor,
+        _MAX_ITER, 40,
     )
     if it is None:
         raise NonConvergenceError(
-            f"no convergence in {cfg.max_iter} iterations (residual {nr:.3e})", float(nr)
+            f"no convergence in {_MAX_ITER} iterations (residual {nr:.3e})", float(nr)
         )
-    _check_collisions(z, cfg.dedupe_tol, float(nr))
+    _check_collisions(z, _DEDUPE_TOL, float(nr))
     return ZeroPointSet(
         zeros=canonicalize(z),
         energy=energy_from_zeros(z, params),
         residual=float(nr),
         iterations=it,
-        quantum_numbers=initial.quantum_numbers if isinstance(initial, ZeroPointSet) else None,
     )
 
 
@@ -359,13 +362,13 @@ def seed_from_quantum_numbers(qn: QuantumNumberSet, params: ModelParams) -> Zero
     for b in betas:
         zs.append(b + 1j * (np.pi / 6 + _STRING_KICK))
         zs.append(b - 1j * (np.pi / 2 + _STRING_KICK))
-    return ZeroPointSet(zeros=np.array(zs, dtype=complex), quantum_numbers=qn)
+    return ZeroPointSet(zeros=np.array(zs, dtype=complex))
 
 
 def solve_from_quantum_numbers(qn: QuantumNumberSet, params: ModelParams,
-                               cfg: SolverConfig = SolverConfig()) -> ZeroPointSet:
+                               tol: float = _TOL) -> ZeroPointSet:
     """Seed a labeling and converge it."""
-    return solve_newton(seed_from_quantum_numbers(qn, params), params, cfg)
+    return solve_newton(seed_from_quantum_numbers(qn, params), params, tol)
 
 
 # ---------------------------------------------------------------------------

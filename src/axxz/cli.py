@@ -18,9 +18,9 @@ rows in both formats.
 
 Exit codes: 0 success, 2 invalid input (a float option that is NaN or
 infinite, thermo --n below 2, a thermo or bae option that does not apply to
-the quantity or pattern, and table1 --tol not positive included) or failed
-validation, 3 solver non-convergence or a root collision after
-convergence, 4 I/O failure.
+the quantity or pattern, table1 --tol not positive, and a size whose arrays
+cannot be allocated included) or failed validation, 3 solver non-convergence
+or a root collision after convergence, 4 I/O failure.
 """
 from __future__ import annotations
 
@@ -48,7 +48,6 @@ from .model import (
     ExcitationSpec,
     ModelParams,
     NonConvergenceError,
-    SolverConfig,
     ZeroPointSet,
 )
 
@@ -104,9 +103,8 @@ def _quantum_numbers(cfg: argparse.Namespace):
 
 def run_bae(cfg: argparse.Namespace):
     params = ModelParams(n_sites=cfg.n)
-    qn = _quantum_numbers(cfg)
-    scfg = SolverConfig(tol=cfg.tol) if cfg.tol is not None else SolverConfig()
-    zps = bae.solve_newton(bae.seed_from_quantum_numbers(qn, params), params, scfg)
+    tol = {} if cfg.tol is None else {"tol": cfg.tol}
+    zps = bae.solve_from_quantum_numbers(_quantum_numbers(cfg), params, **tol)
     pattern = bae.classify_roots(zps, tol=0.1)
     lams = zps.shifted
     doc = {
@@ -178,7 +176,8 @@ def run_verify(cfg: argparse.Namespace):
         vals, vecs = joint_eigenstates(params)
     else:
         vals, vecs = transfer_eigenbasis(params)
-    idx = sorted(set(np.linspace(0, len(vals) - 1, cfg.levels).astype(int)))
+    # a count above 2^N picks the same set as 2^N, without the larger linspace
+    idx = sorted(set(np.linspace(0, len(vals) - 1, min(cfg.levels, len(vals))).astype(int)))
     per_level = []
     for i in idx:
         f = tqverify.spectral_function_from_state(vecs[:, i], params)
@@ -227,18 +226,14 @@ def run_thermo(cfg: argparse.Namespace):
             spec = ExcitationSpec(kind, alpha)
             meta, value = {"alpha": alpha}, thermo.excitation_energy(spec)
         return 0, {"quantity": q, **meta, "value": float(value)}, [(float(value),)]
-    if q == "rho" and cfg.n is None:
-        vals, atoms = [thermo.rho_bulk(x) for x in _GRID], []
-    elif q == "rho":
-        profile = thermo.ground_profile(cfg.hole_pos, cfg.n)
-        vals, atoms = [profile.smooth(x) for x in _GRID], profile.holes
-    else:  # drho1 / drho2 are finite-size corrections; n is mandatory
-        if cfg.n is None:
-            raise ValueError(f"{q} needs --n (it scales like 1/N)")
-        kind = "type_I" if q == "drho1" else "type_II"
-        spec = ExcitationSpec(kind, alpha)
-        vals = [thermo.delta_rho(spec, x, cfg.n) for x in _GRID]
-        atoms = thermo.excitation_profile(spec, cfg.n).holes if kind == "type_II" else []
+    if q == "rho":
+        profile = thermo.ground_profile(cfg.hole_pos, cfg.n or math.inf)
+    elif cfg.n is None:  # drho1 / drho2 are finite-size corrections
+        raise ValueError(f"{q} needs --n (it scales like 1/N)")
+    else:
+        spec = ExcitationSpec("type_I" if q == "drho1" else "type_II", alpha)
+        profile = thermo.excitation_profile(spec, cfg.n)
+    vals, atoms = [profile.smooth(x) for x in _GRID], profile.holes
     doc = {
         "quantity": q,
         "alpha": alpha,
@@ -262,7 +257,7 @@ def run_scatter(cfg: argparse.Namespace):
     amp = thermo.smatrix(cfg.process, cfg.a1, cfg.a2)
     v = amp.value
     im = _short(v.imag)
-    doc = {"process": amp.process, "a1": cfg.a1, "a2": cfg.a2, "value": _cnum(v)}
+    doc = {"process": cfg.process, "a1": cfg.a1, "a2": cfg.a2, "value": _cnum(v)}
     return 0, doc, [(_short(v.real) + ("" if im.startswith("-") else "+") + im + "i",)]
 
 
@@ -314,7 +309,7 @@ def run_table1(cfg: argparse.Namespace):
 
     def solve_row(row):
         seed = ZeroPointSet.from_shifted(row["lambdas"])
-        zps = bae.solve_newton(seed, params, SolverConfig())
+        zps = bae.solve_newton(seed, params)
         i = int(np.argmin(np.abs(ed_vals - zps.energy)))
         d_fixture, d_ed = abs(zps.energy - row["energy"]), abs(zps.energy - ed_vals[i])
         return {
@@ -338,15 +333,6 @@ def run_table1(cfg: argparse.Namespace):
 # ---------------------------------------------------------------------------
 # parser and entry point
 
-_DISPATCH = {
-    "ed": run_ed,
-    "bae": run_bae,
-    "verify": run_verify,
-    "thermo": run_thermo,
-    "scatter": run_scatter,
-    "table1": run_table1,
-}
-
 
 def _finite_float(text: str) -> float:
     """Type of every float option: NaN and infinities exit 2 with the flag named."""
@@ -359,7 +345,8 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_common(p: argparse.ArgumentParser, run):
+    p.set_defaults(run=run)
     p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
@@ -374,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ed", help="diagonalize the chain; rows level,energy,parity")
     p.add_argument("--n", type=int, required=True, help="number of sites")
-    _add_common(p)
+    _add_common(p, run_ed)
 
     p = sub.add_parser("bae", help="solve the zero-point equations for one labeling")
     p.add_argument("--n", type=int, required=True)
@@ -382,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--number", type=int, default=None, help="half-line number J (type_I)")
     p.add_argument("--position", type=int, default=None, help="1-based gap slot (type_II)")
     p.add_argument("--tol", type=_finite_float, default=None)
-    _add_common(p)
+    _add_common(p, run_bae)
 
     p = sub.add_parser("verify", help="transfer-matrix and factored-form identity checks")
     p.add_argument("--n", type=int, default=4)
@@ -390,26 +377,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=20, help="points for the cubic identity")
     p.add_argument("--seed", type=int, default=None,
                    help="draw random inhomogeneities in [-0.1, 0.1] with this seed")
-    _add_common(p)
+    _add_common(p, run_verify)
 
     p = sub.add_parser("thermo", help="closed-form limit quantities")
     p.add_argument("--quantity", choices=_QUANTITIES, required=True)
     p.add_argument("--alpha", type=_finite_float, default=None, help="rapidity (default 0)")
     p.add_argument("--hole-pos", dest="hole_pos", type=_finite_float, default=None)
     p.add_argument("--n", type=int, default=None, help="finite size for 1/N corrections")
-    _add_common(p)
+    _add_common(p, run_thermo)
 
     p = sub.add_parser("scatter", help="two-body scattering amplitude")
     p.add_argument("--process", choices=_PROCESSES, required=True)
     p.add_argument("--a1", type=_finite_float, default=0.0)
     p.add_argument("--a2", type=_finite_float, default=0.0)
-    _add_common(p)
+    _add_common(p, run_scatter)
 
     p = sub.add_parser("table1", help="re-converge the bundled N = 6 table against ED")
     p.add_argument("--tol", type=_finite_float, default=None,
                    help="energy tolerance (default 1e-3)")
     p.add_argument("--fixture", default=None, help="alternate fixture CSV path")
-    _add_common(p)
+    _add_common(p, run_table1)
 
     return ap
 
@@ -417,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         cfg = build_parser().parse_args(argv)
-        code, doc, rows = _DISPATCH[cfg.command](cfg)
+        code, doc, rows = cfg.run(cfg)
         text = _render(cfg.fmt, doc, rows)
         if cfg.out is None:
             print(text)
@@ -429,7 +416,7 @@ def main(argv=None) -> int:
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # an input too large to allocate is invalid
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -93,20 +93,6 @@ class ModelParams:
         return np.unique(self.theta_array, return_inverse=True)  # distinct, index of each
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    tol: float = 1e-12
-    max_iter: int = 200
-    dedupe_tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.max_iter <= 0:
-            raise ValueError("max_iter must be positive")
-        for name in ("tol", "dedupe_tol"):
-            if not 0 < getattr(self, name) < np.inf:  # a NaN fails both comparisons
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-
-
 @dataclass
 class SpectrumResult:
     """Full spectrum of a real symmetric chain operator.
@@ -152,22 +138,6 @@ class QuantumNumberSet:
         object.__setattr__(self, "excitations", tuple(self.excitations))
 
     @property
-    def excitation_type(self) -> str:
-        if not self.excitations:
-            return "none"
-        kinds = {e.kind for e in self.excitations}
-        if len(self.excitations) == 1:
-            return next(iter(kinds))
-        return "mixed"
-
-    @property
-    def excitation(self) -> float | None:
-        """The single excitation number J, when there is exactly one."""
-        if len(self.excitations) == 1:
-            return self.excitations[0].number
-        return None
-
-    @property
     def n_roots(self) -> int:
         return len(self.bulk) + sum(2 if e.kind == "type_II" else 1 for e in self.excitations)
 
@@ -200,7 +170,6 @@ class ZeroPointSet:
     energy: float | None = None
     residual: float | None = None
     iterations: int | None = None
-    quantum_numbers: QuantumNumberSet | None = None
 
     def __post_init__(self):
         self.zeros = np.asarray(self.zeros, dtype=complex)
@@ -233,10 +202,6 @@ class SpectralFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "zeros", tuple(complex(z) for z in self.zeros))
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.zeros) + 1
 
 
 @dataclass
@@ -273,6 +238,4 @@ class ExcitationSpec:
 
 @dataclass(frozen=True)
 class ScatteringAmplitude:
-    process: str  # "I_I" | "II_II" | "I_II"
-    alphas: tuple
     value: complex

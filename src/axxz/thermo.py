@@ -132,34 +132,37 @@ def _coth(z):
     return 1.0 / np.tanh(z)
 
 
-def _energy_quadrature(density, root_terms=()):
-    """Re[ i*sqrt3 * (integral coth(lam - i pi/6) density(lam) + sum coth(z)) ].
+def _energy_quadrature(profile: DensityProfile, root_terms=()):
+    """i*sqrt3 * (integral coth(lam - i pi/6) rho(lam) + sum coth(z)) for the O(1)
+    density rho of profile, smooth part plus hole atoms.
 
-    density is the O(1) smooth profile; root_terms are the z-plane positions
-    of discrete roots added on top of the sea. The integrand is analytic for
-    |Im lam| < pi/6 and negligible beyond QUAD_CUTOFF, so the trapezoid sum
-    on 801 uniform nodes converges geometrically.
+    root_terms are the z-plane positions of discrete roots added on top of
+    the sea; each atom (position p, weight w) adds w * i*sqrt3 coth(p - i pi/6).
+    The smooth integrand is analytic for |Im lam| < pi/6 and negligible beyond
+    QUAD_CUTOFF, so the trapezoid sum on 801 uniform nodes converges
+    geometrically.
     """
     x = np.linspace(-QUAD_CUTOFF, QUAD_CUTOFF, 801)
-    total = np.trapezoid(1j * SQ3 * _coth(x - 1j * np.pi / 6) * density(x), x)
+    total = np.trapezoid(1j * SQ3 * _coth(x - 1j * np.pi / 6) * profile.smooth(x), x)
     for z in root_terms:
         total += 1j * SQ3 * _coth(z)
+    for p, w in profile.holes:
+        total += w * (1j * SQ3 * _coth(p - 1j * np.pi / 6))
     return total
 
 
-def ground_energy_density(check: bool = True) -> float:
+def ground_energy_density() -> float:
     """Ground energy per site, (3 - 3*sqrt3)/2.
 
-    With check=True the value is recomputed by quadrature over the bulk
-    density (E/N = 2 sinh(eta) int coth(lam - i pi/6) rho + cosh(eta)) and
-    the two must agree to 1e-8.
+    The value is recomputed by quadrature over the bulk density (E/N =
+    2 sinh(eta) int coth(lam - i pi/6) rho + cosh(eta)), and the two must
+    agree to 1e-8.
     """
-    if check:
-        val = _energy_quadrature(rho_bulk) + 0.5
-        if abs(val.real - E_GROUND_DENSITY) > 1e-8 or abs(val.imag) > 1e-8:
-            raise ConsistencyError(
-                f"quadrature {val} disagrees with closed form {E_GROUND_DENSITY}"
-            )
+    val = _energy_quadrature(DensityProfile(rho_bulk)) + 0.5
+    if abs(val.real - E_GROUND_DENSITY) > 1e-8 or abs(val.imag) > 1e-8:
+        raise ConsistencyError(
+            f"quadrature {val} disagrees with closed form {E_GROUND_DENSITY}"
+        )
     return E_GROUND_DENSITY
 
 
@@ -196,21 +199,13 @@ def excitation_profile(spec: ExcitationSpec, n) -> DensityProfile:
 def excitation_energy_quadrature(spec: ExcitationSpec) -> float:
     """Dispersion recomputed from the density shift instead of the closed form.
 
-    The n factors cancel: n * delta_rho is O(1), the excited roots enter as
-    discrete coth terms, and a type_II bulk hole subtracts its own coth.
+    The n factors cancel, so the shift is excitation_profile at n = 1: the
+    smooth n * delta_rho and, for type_II, the dragged bulk hole of weight -1.
+    The excited roots enter as discrete coth terms.
     """
     a = spec.alpha
-    if spec.kind == "type_I":
-        val = _energy_quadrature(
-            lambda x: -rho_bulk(x - a),
-            root_terms=(a - 2j * np.pi / 3,),
-        )
-    else:
-        val = _energy_quadrature(
-            lambda x: -(3 / (2 * np.pi)) * (1 / np.cosh(1.5 * (x - a))),
-            root_terms=(a + 1j * np.pi / 6, a - 1j * np.pi / 2),
-        )
-        val -= 1j * SQ3 * _coth(a - 1j * np.pi / 6)  # the dragged bulk hole
+    roots = {"type_I": (a - 2j * np.pi / 3,), "type_II": (a + 1j * np.pi / 6, a - 1j * np.pi / 2)}
+    val = _energy_quadrature(excitation_profile(spec, 1), roots[spec.kind])
     if abs(val.imag) > 1e-8:
         raise ConsistencyError(f"dispersion quadrature came out complex: {val}")
     return float(val.real)
@@ -230,7 +225,7 @@ def smatrix(process: str, alpha1: float, alpha2: float) -> ScatteringAmplitude:
     else:
         raise ValueError(f"unknown process {process!r}")
     value = -(x - 1j) / (x + 1j)
-    return ScatteringAmplitude(process=process, alphas=(alpha1, alpha2), value=complex(value))
+    return ScatteringAmplitude(value=complex(value))
 
 
 _CG_CAP = 40  # the solve takes 15-16 iterations at every grid size used here

@@ -75,7 +75,7 @@ def test_criterion_4_transfer_family_structure():
 
 def test_criterion_5_ground_energy_density():
     """Closed-form energy density against quadrature, and against N = 64."""
-    eg = thermo.ground_energy_density(check=True)
+    eg = thermo.ground_energy_density()
 
     def integrand(x, part):
         val = 1j * SQ3 / np.tanh(x - 1j * np.pi / 6) * thermo.rho_bulk(x)

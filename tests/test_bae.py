@@ -21,12 +21,12 @@ from hypothesis import strategies as st
 from axxz import bae, core, thermo
 from axxz.model import (
     ETA,
+    Excitation,
     ModelParams,
     NonConvergenceError,
     NonPhysicalRootsError,
     RootCollisionError,
     SingularConfigurationError,
-    SolverConfig,
     ZeroPointSet,
 )
 
@@ -288,24 +288,31 @@ class TestNewton:
             if a > 1e-7:
                 assert b < 50 * a**2
 
-    def test_nonconvergence_reports_residual(self, params6):
+    def test_nonconvergence_reports_residual(self, monkeypatch, params6):
         bad = np.array([3.0 + 0.4j, -2.0 + 0.9j, 0.5 - 1.1j, 1.0 + 0.2j, -0.3 + 0.6j])
-        cfg = SolverConfig(max_iter=2)
+        monkeypatch.setattr(bae, "_MAX_ITER", 2)
         with pytest.raises(bae.NonConvergenceError) as exc:
-            bae.solve_newton(bad, params6, cfg)
+            bae.solve_newton(bad, params6)
         assert exc.value.residual > 0
 
-    def test_root_collision_detected(self, params4):
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_bad_tol_rejected(self, params6, tol):
+        zps, _ = ground_solution(6)
+        with pytest.raises(ValueError, match="^tol must be positive and finite"):
+            bae.solve_newton(zps, params6, tol)
+
+    def test_root_collision_detected(self, monkeypatch, params4):
         # force dedupe by feeding two nearly identical roots with a huge tol
         zps, _ = ground_solution(4)
-        cfg = SolverConfig(dedupe_tol=10.0)
+        monkeypatch.setattr(bae, "_DEDUPE_TOL", 10.0)
         with pytest.raises(ValueError):
-            bae.solve_newton(zps, params4, cfg)
+            bae.solve_newton(zps, params4)
 
-    def test_root_collision_is_a_solver_failure(self, params4):
+    def test_root_collision_is_a_solver_failure(self, monkeypatch, params4):
         zps, _ = ground_solution(4)
+        monkeypatch.setattr(bae, "_DEDUPE_TOL", 10.0)
         with pytest.raises(RootCollisionError, match="collided") as exc:
-            bae.solve_newton(zps, params4, SolverConfig(dedupe_tol=10.0))
+            bae.solve_newton(zps, params4)
         assert isinstance(exc.value, NonConvergenceError)
         assert exc.value.residual < 1e-12
 
@@ -345,8 +352,9 @@ class TestNewton:
         zps, _ = ground_solution(6)
         calls = self._record_residual_calls(
             monkeypatch, lambda z, params: np.full(len(z), float(len(calls))))
+        monkeypatch.setattr(bae, "_MAX_ITER", 2)
         with pytest.raises(NonConvergenceError):
-            bae.solve_newton(zps.zeros + 1e-3, params6, SolverConfig(max_iter=2))
+            bae.solve_newton(zps.zeros + 1e-3, params6)
         assert len(calls) == 82  # per iteration: the new point, then 40 trials
         assert not np.array_equal(calls[41], calls[40])
         assert not np.array_equal(calls[41], calls[0])
@@ -380,13 +388,13 @@ class TestQuantumNumbers:
         with pytest.raises(ValueError):
             bae.type_one_numbers(6, 3)
         qn = bae.type_one_numbers(6, -2)
-        assert len(qn.bulk) == 4 and qn.excitation == -2.0
+        assert len(qn.bulk) == 4 and qn.excitations == (Excitation("type_I", -2.0),)
 
     def test_type_two_positions(self):
         with pytest.raises(ValueError):
             bae.type_two_numbers(6, 5)
         qn = bae.type_two_numbers(6, 1)
-        assert qn.excitation == 1.5  # (N-1)/2 - 1
+        assert qn.excitations == (Excitation("type_II", 1.5),)  # (N-1)/2 - 1
         assert len(qn.bulk) == 3
 
     def test_odd_sizes_rejected(self):

@@ -9,9 +9,8 @@ from pathlib import Path
 import pytest
 
 import axxz
-from axxz import cli
+from axxz import bae, cli
 from axxz.cli import main
-from axxz.model import SolverConfig
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -97,10 +96,14 @@ class TestBae:
         assert code == 2 and flag in err and out == ""
 
     def test_collision_is_solver_failure(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "SolverConfig",
-                            lambda **kw: SolverConfig(dedupe_tol=10.0, **kw))
+        monkeypatch.setattr(bae, "_DEDUPE_TOL", 10.0)
         code, _, err = run(capsys, "bae", "--n", "6")
         assert code == 3 and "collided" in err
+
+    def test_unallocatable_size_rejected(self, capsys):
+        # the seed's first pairwise array would take 7.28 TiB, so it fails at once
+        code, out, err = run(capsys, "bae", "--n", "1000000")
+        assert code == 2 and out == "" and err.startswith("error: Unable to allocate")
 
 
 class TestVerify:
@@ -162,6 +165,15 @@ class TestVerify:
     def test_zero_count_rejected(self, capsys, flag):
         code, out, err = run(capsys, "verify", "--n", "4", flag, "0")
         assert code == 2 and flag in err and out == ""
+
+    def test_levels_clamped_to_dimension(self, capsys):
+        assert run(capsys, "verify", "--n", "4", "--levels", str(10**12)) == \
+            run(capsys, "verify", "--n", "4", "--levels", "16")
+
+    def test_unallocatable_samples_rejected(self, capsys):
+        # the cubic identity's sample array would take 29.1 TiB, so it fails at once
+        code, out, err = run(capsys, "verify", "--n", "4", "--samples", str(10**12))
+        assert code == 2 and out == "" and err.startswith("error: Unable to allocate")
 
 
 class TestThermo:

@@ -16,7 +16,6 @@ from axxz.model import (
     DegeneracyResolutionError,
     ModelParams,
     QuantumNumberSet,
-    SolverConfig,
     ZeroPointSet,
 )
 
@@ -411,18 +410,6 @@ class TestModelTypes:
         with pytest.raises(ValueError):
             ModelParams(n_sites=4, thetas=(0.1, 0.2))
 
-    def test_solver_config_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(tol=-1.0)
-        with pytest.raises(ValueError):
-            SolverConfig(max_iter=0)
-
-    @pytest.mark.parametrize("field", ["tol", "dedupe_tol"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    def test_solver_config_rejects_non_finite(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
-            SolverConfig(**{field: value})
-
     def test_zero_point_set_shift_roundtrip(self):
         lam = np.array([0.3, -0.1 + 0.2j])
         zps = ZeroPointSet.from_shifted(lam)
@@ -432,7 +419,6 @@ class TestModelTypes:
     def test_quantum_number_counting(self):
         from axxz.model import Excitation
 
-        qn = QuantumNumberSet(bulk=(0.5, -0.5), excitations=(Excitation("type_II", 1.0),))
+        qn = QuantumNumberSet(bulk=(0.5, -0.5), excitations=[Excitation("type_II", 1.0)])
         assert qn.n_roots == 4
-        assert qn.excitation_type == "type_II"
-        assert qn.excitation == 1.0
+        assert qn.excitations == (Excitation("type_II", 1.0),)

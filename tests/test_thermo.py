@@ -234,7 +234,7 @@ class TestDensities:
 
 class TestEnergies:
     def test_ground_energy_closed_form(self):
-        val = thermo.ground_energy_density(check=True)
+        val = thermo.ground_energy_density()
         assert abs(val - (3 - 3 * SQ3) / 2) < 1e-15
 
     def test_hole_delta_values(self):
@@ -278,7 +278,7 @@ class TestEnergies:
     def test_consistency_guard_fires_on_broken_cache(self, monkeypatch):
         monkeypatch.setattr(thermo, "E_GROUND_DENSITY", -1.0)
         with pytest.raises(ConsistencyError):
-            thermo.ground_energy_density(check=True)
+            thermo.ground_energy_density()
 
 
 class TestScattering:
