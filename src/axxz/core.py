@@ -12,12 +12,14 @@ matrix (eigh of its Hermitian part), and as a test oracle. This module is
 the exact-diagonalization oracle everything else is checked against.
 
 Basis index bits are spins, site 1 the most significant bit, bit 0 = up.
-H is filled from bit arithmetic on these indices, in O(N 2^N) work, and the
-spin flip U = prod sigma^x maps index i to 2^N - 1 - i, so U acts on a
-vector or on matrix rows by reversal. The twisted translation
+H, or any set of its rows, is filled from bit arithmetic on these indices,
+in O(N 2^N) work for the whole matrix, and the spin flip U = prod sigma^x
+maps index i to 2^N - 1 - i, so U acts on a vector or on matrix rows by
+reversal. The twisted translation
 G = sigma^x_1 T (T the cyclic shift) is a bit rotation with one flip; it
 commutes with H and every t(u) and G^N = U, so H is solved by one eigh per
-momentum sector k of G, and a level in sector k has U-parity (-1)^k.
+momentum sector k = 0..N of G (sector 2N-k is the conjugate of sector k),
+and a level in sector k has U-parity (-1)^k.
 """
 from __future__ import annotations
 
@@ -65,29 +67,25 @@ def build_hamiltonian(params: ModelParams) -> np.ndarray:
     parallel pairs. The diagonal sums bonds in order j = 1..N-1, then the
     boundary.
     """
+    return _hamiltonian_rows(params, np.arange(2**params.n_sites))
+
+
+def _hamiltonian_rows(params: ModelParams, rows) -> np.ndarray:
+    """The rows of H at the basis indices `rows`, shape (len(rows), 2^N)."""
     n = params.n_sites
     _check_capacity(n)
     ch = np.cosh(ETA).real
-    dim = 2**n
-    idx = np.arange(dim)
-    spins = (idx >> np.arange(n - 1, -1, -1)[:, None]) & 1  # row j-1: site j
-    diag = np.zeros(dim)
-    hops = []
+    rows = np.asarray(rows)
+    at = np.arange(len(rows))
+    spins = (rows >> np.arange(n - 1, -1, -1)[:, None]) & 1  # row j-1: site j
+    h = np.zeros((len(rows), 2**n))
     for j in range(n):
         k = (j + 1) % n
         anti = spins[j] != spins[k]
-        zz = np.where(anti, -1.0, 1.0)
-        mask = (1 << (n - 1 - j)) | (1 << (n - 1 - k))
-        if k:
-            diag -= ch * zz
-            hops.append((idx[anti], mask))
-        else:  # twisted boundary bond
-            diag += ch * zz
-            hops.append((idx[~anti], mask))
-    h = np.zeros((dim, dim))
-    h[idx, idx] = diag
-    for src, mask in hops:
-        h[src, src ^ mask] = -2.0
+        if not k:  # twisted boundary bond: zz changes sign and parallel pairs hop
+            anti = ~anti
+        h[at, rows] -= np.where(anti, -ch, ch)
+        h[at[anti], rows[anti] ^ ((1 << (n - 1 - j)) | (1 << (n - 1 - k)))] = -2.0
     return h
 
 
@@ -171,56 +169,74 @@ def _twisted_orbits(n: int):
     return g[:, reps].T, lengths
 
 
-def _sector_eigh(m: np.ndarray, want_vectors: bool):
-    """Spectrum of a real 2^N x 2^N matrix that commutes with G, sector by sector.
+def _sector_eigh(rows: np.ndarray, dtype=None):
+    """Spectrum of a real 2^N x 2^N matrix m that commutes with G, sector by sector.
 
-    Sector k, where G = e^{i pi k / N}, holds the orbits with k L_b = 0 mod 2N,
-    spanned by |b, k> = sum_{m < L_b} e^{-i pi k m / N} |G^m r_b> / sqrt(L_b).
-    One FFT over d of m[r_a, G^d r_b] gives every sector block, and each
-    block gets its own eigh. Returns (eigenvalues ascending, sector k of each
-    level, eigenvector columns in the same order or None).
+    Takes only the rows of m at the orbit representatives r_b, in orbit
+    order. Sector k, where G = e^{i pi k / N}, holds the orbits with
+    k L_b = 0 mod 2N, spanned by
+    |b, k> = sum_{m < L_b} e^{-i pi k m / N} |G^m r_b> / sqrt(L_b).
+    One real FFT over d of m[r_a, G^d r_b] gives the blocks of k = 0..N,
+    and each gets its own eigh (k = 0 and N are real). m is real, so the
+    block of sector 2N-k is the conjugate of that of sector k: its levels
+    take the same floats and its vectors the conjugates. A column is
+    written orbit by orbit: row G^d r_b of level j is
+    c[b, j] e^{-i pi k_j d / N} / sqrt(L_b), one product of coefficients
+    and phases per orbit. dtype complex gives these G eigenstates; dtype
+    float gives sqrt2 Re v and sqrt2 Im v in place of each conjugate pair
+    v, conj(v), and the real v of k = 0 and N. Returns (eigenvalues
+    ascending, sector k of each level, eigenvector columns, the level of
+    each level's conjugate partner); the last two are None without a dtype.
     """
-    n = m.shape[0].bit_length() - 1
+    n = rows.shape[1].bit_length() - 1
     table, lengths = _twisted_orbits(n)
-    # blocks[k, a, b] = <a, k|m|b, k>, from m[r_a, G^d r_b] at d = 0..2N-1
-    blocks = np.fft.fft(m[table[:, 0, None], table.T[:, None]], axis=0)
-    blocks *= np.sqrt(np.outer(lengths, lengths)) / (2 * n)
-    sels = [np.flatnonzero(k * lengths % (2 * n) == 0) for k in range(2 * n)]
+    # blocks[a, k, b] = <a, k|m|b, k> for k = 0..N, from m[r_a, G^d r_b] at d = 0..2N-1
+    blocks = np.fft.rfft(rows[:, table.T], axis=1)
+    blocks *= (np.sqrt(np.outer(lengths, lengths)) / (2 * n))[:, None]
+    sels = [np.flatnonzero(k * lengths % (2 * n) == 0) for k in range(n + 1)]
     # eigh even without vectors: eigvalsh rounds differently, which could
     # reorder the levels of a degenerate energy and so their sector labels
-    eigs = [np.linalg.eigh(blocks[k][np.ix_(sel, sel)]) for k, sel in enumerate(sels)]
-    sizes = [len(sel) for sel in sels]
-    vals = np.concatenate([e.eigenvalues for e in eigs])
+    eigs = [np.linalg.eigh(blocks[:, k][np.ix_(sel, sel)].real if k % n == 0
+                           else blocks[:, k][np.ix_(sel, sel)]) for k, sel in enumerate(sels)]
+    src = np.r_[0:n + 1, n - 1:0:-1]  # sector k is solved as sector min(k, 2N-k)
+    sizes = [len(sels[s]) for s in src]
+    vals = np.concatenate([eigs[s].eigenvalues for s in src])
     order = np.argsort(vals, kind="stable")
     ks = np.repeat(np.arange(2 * n), sizes)[order]
-    if not want_vectors:
-        return vals[order], ks, None
-    slots = np.empty_like(order)
-    slots[order] = np.arange(len(order))
-    # columns go straight into their sorted slots; a reorder would copy 2^N x 2^N
-    vecs = np.zeros((2**n, 2**n), dtype=complex)
-    for k, (sel, e, slot) in enumerate(zip(sels, eigs, np.split(slots, np.cumsum(sizes)[:-1]))):
-        orb, d = np.nonzero(np.arange(2 * n) < lengths[sel][:, None])
-        amp = np.exp(-1j * np.pi * k * d / n) / np.sqrt(lengths[sel][orb])
-        vecs[table[sel][orb, d][:, None], slot] = amp[:, None] * e.eigenvectors[orb]
-    return vals[order], ks, vecs
+    if dtype is None:
+        return vals[order], ks, None, None
+    slots = np.split(np.argsort(order), np.cumsum(sizes)[:-1])  # sorted slots, per sector
+    coef = np.zeros((len(lengths), len(order)), dtype=complex)
+    partner = np.empty_like(order)
+    for k, s in enumerate(src):
+        v = eigs[s].eigenvectors / np.sqrt(lengths[sels[s]])[:, None]
+        coef[np.ix_(sels[s], slots[k])] = v if k <= n else v.conj()
+        partner[slots[k]] = slots[-k]
+    if dtype is float:  # sqrt2 Im v is the real part of i sqrt2 conj(v), the partner's column
+        coef *= np.where(ks % n, np.sqrt(2), 1.0) * np.where(ks > n, 1j, 1.0)
+    phase = np.exp(-1j * np.pi / n * (np.outer(np.arange(2 * n), ks) % (2 * n)))
+    vecs = np.empty((2**n, len(ks)), dtype=dtype)
+    for orbit, length, c in zip(table, lengths, coef):
+        block = c * phase[:length]
+        vecs[orbit[:length]] = block.real if dtype is float else block
+    return vals[order], ks, vecs, partner
 
 
 def diagonalize_symmetric(m: np.ndarray, want_vectors: bool = True) -> SpectrumResult:
     """Full ascending spectrum of a real symmetric chain operator.
 
     The dimension must be 2^N and the matrix must commute with the twisted
-    translation G, as H does. It is solved in the 2N momentum sectors of G
-    (`_sector_eigh`), so no eigh is wider than a sector, and a level in
-    sector k has U-parity (-1)^k because U = G^N. Eigenvectors are complex
-    G eigenstates.
+    translation G, as H does. It is solved in the momentum sectors of G
+    (`_sector_eigh`): one eigh per sector k = 0..N, none wider than a
+    sector, and a level in sector k has U-parity (-1)^k because U = G^N.
+    Eigenvectors are real: the conjugate G eigenstates v and conj(v) of
+    sectors k and 2N-k become sqrt2 Re v and sqrt2 Im v, which share the
+    energy and the parity.
     """
     m = np.asarray(m)
-    if np.iscomplexobj(m):
-        if np.max(np.abs(m.imag)) > _HERM_TOL:
-            raise ValueError("matrix has a non-negligible imaginary part")
-        m = m.real
-    m = m.astype(float, copy=False)
+    if np.iscomplexobj(m) and np.max(np.abs(m.imag)) > _HERM_TOL:
+        raise ValueError("matrix has a non-negligible imaginary part")
+    m = np.real(m).astype(float, copy=False)
     dim = m.shape[0]
     # m - m^T and [m, G^-1] on one fixed generic vector, where (G^-1 x)_i = x_{G(i)}
     x = np.cos(np.arange(dim))
@@ -234,35 +250,42 @@ def diagonalize_symmetric(m: np.ndarray, want_vectors: bool = True) -> SpectrumR
     g = _twist(np.arange(dim), n)
     if np.linalg.norm(m @ x[g] - mx[g]) > tol:
         raise ValueError("matrix does not commute with the twisted translation")
-    vals, ks, vecs = _sector_eigh(m, want_vectors)
-    return SpectrumResult(eigenvalues=vals, eigenvectors=vecs, parity=1 - 2 * (ks % 2))
+    vals, ks, v, _ = _sector_eigh(m[_twisted_orbits(n)[0][:, 0]], float if want_vectors else None)
+    return SpectrumResult(eigenvalues=vals, eigenvectors=v, parity=1 - 2 * (ks % 2))
 
 
 def joint_eigenstates(params: ModelParams):
     """Common eigenbasis of H and the transfer family, at zero thetas.
 
     G commutes with H and every t(u), so H is solved sector by sector
-    (`_sector_eigh`). Only levels still degenerate inside one sector are
-    rotated into eigenvectors of t(U_PROBE), applied to those columns alone.
-    Returns (energies ascending, eigenvector matrix) with columns that are
-    joint eigenstates.
+    (`_sector_eigh`) from the rows of H at the orbit representatives alone.
+    Only levels still degenerate inside one sector k <= N are rotated into
+    eigenvectors of t(U_PROBE), applied to those columns alone; the partner
+    run of sector 2N-k takes the conjugate columns. Returns (energies
+    ascending, eigenvector matrix) with columns that are complex joint
+    eigenstates.
     """
     _check_zero_thetas(params, "joint eigenbasis")
-    vals, ks, vecs = _sector_eigh(build_hamiltonian(params), True)
-    # slots of the runs of levels within 1e-8 of each other inside one sector
+    n = params.n_sites
+    vals, ks, vecs, partner = _sector_eigh(
+        _hamiltonian_rows(params, _twisted_orbits(n)[0][:, 0]), complex)
+    # slots of the runs of levels within 1e-8 of each other inside one sector k <= N
     by_sector = np.lexsort((vals, ks))
     cut = (np.diff(ks[by_sector]) != 0) | (np.diff(vals[by_sector]) >= 1e-8)
-    deg = [blk for blk in np.split(by_sector, np.flatnonzero(cut) + 1) if len(blk) > 1]
+    deg = [blk for blk in np.split(by_sector, np.flatnonzero(cut) + 1)
+           if len(blk) > 1 and ks[blk[0]] <= n]
     cols = np.concatenate(deg) if deg else np.zeros(0, dtype=int)
     x = vecs[:, cols]
     tx = np.empty_like(x)
     for i in range(0, len(cols), _SLAB):
         tx[:, i:i + _SLAB] = apply_transfer(U_PROBE, params, x[:, i:i + _SLAB])[0]
     bounds = np.cumsum([len(blk) for blk in deg])[:-1]
-    for blk, xb, tb in zip(deg, np.split(x, bounds, axis=1), np.split(tx, bounds, axis=1)):
+    for xb, tb in zip(np.split(x, bounds, axis=1), np.split(tx, bounds, axis=1)):
         _, s = np.linalg.eig(xb.conj().T @ tb)
-        s /= np.linalg.norm(s, axis=0, keepdims=True)
-        vecs[:, blk] = xb @ s
+        xb[:] = xb @ (s / np.linalg.norm(s, axis=0, keepdims=True))
+    vecs[:, cols] = x
+    pair = ks[cols] % n != 0  # sectors 0 and N are their own partners
+    vecs[:, partner[cols[pair]]] = x[:, pair].conj()
     return vals, vecs
 
 
@@ -313,14 +336,10 @@ def transfer_eigenbasis(params: ModelParams):
     blocks = [_normal_eig(t[:h, :h] + sign * t[:h, ::-1][:, :h]) for sign in (1, -1)]
     vals = np.concatenate([lam for lam, _ in blocks])
     order = np.argsort(-np.abs(vals), kind="stable")
-    slots = np.empty_like(order)
-    slots[order] = np.arange(len(order))
-    # columns go straight into their sorted slots; a reorder would copy 2^N x 2^N
-    vecs = np.empty_like(t)
-    for (_, v), sign, slot in zip(blocks, (1, -1), np.split(slots, 2)):
-        vecs[:h, slot] = v / np.sqrt(2)
-        vecs[h:, slot] = sign * v[::-1] / np.sqrt(2)
-    return vals[order], vecs
+    # top half of every column, sorted (take keeps C order); the bottom half is its
+    # reversal times the parity
+    top = np.hstack([v for _, v in blocks]).take(order, axis=1) / np.sqrt(2)
+    return vals[order], np.vstack([top, top[::-1] * np.repeat([1, -1], h)[order]])
 
 
 def transfer_eigenvalue_on_state(u, params: ModelParams, state: np.ndarray):

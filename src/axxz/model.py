@@ -18,7 +18,9 @@ COSH_ETA = 0.5  # cosh(i*pi/3) exactly
 
 PROFILE_CUTOFF = 40.0  # density profiles decay at least like exp(-3|lam|/2)
 
-ED_CAP = 12  # dense real H (128 MiB) and complex eigenvectors (256 MiB) at N = 12
+# dense real H and real ED eigenvectors (128 MiB each at N = 12); only the joint
+# H/t basis is complex (256 MiB)
+ED_CAP = 12
 
 # generic probe point used to split degenerate H-eigenspaces with t(u0);
 # any u0 away from the identity points and their eta-shifts works
@@ -97,9 +99,10 @@ class ModelParams:
 class SpectrumResult:
     """Full spectrum of a real symmetric chain operator.
 
-    parity holds the +-1 label of each level under U = prod_j sigma^x_j,
-    (-1)^k for a level in momentum sector k of G (U = G^N); it is set with
-    or without eigenvectors.
+    eigenvectors, when asked for, are real orthonormal columns. parity
+    holds the +-1 label of each level under U = prod_j sigma^x_j, (-1)^k
+    for a level in momentum sector k of G (U = G^N); it is set with or
+    without eigenvectors.
     """
 
     eigenvalues: np.ndarray

@@ -517,15 +517,25 @@ class TestSeeding:
                        timeout=60)
         records = [json.loads(line) for line in a.read_text().splitlines()]
         assert [(r["n"], r["label"]) for r in records] == [
-            (n, label) for n in (4, 6, 8) for label, _ in bae.enumerate_seed_sets(n)]
+            (n, label) for n in (4, 6, 8) for label, _ in bae.enumerate_seed_sets(n)] + [
+            (n, "ed") for n in range(2, 9)]
+        for ed in records[-7:]:
+            levels = core.diagonalize_symmetric(
+                core.build_hamiltonian(ModelParams(n_sites=ed["n"])), want_vectors=False)
+            assert [float.fromhex(e) for e in ed["energies"]] == levels.eigenvalues.tolist()
+            assert ed["parity"] == levels.parity.tolist()
+            assert ed["t_residual"] < 1e-12
         ground = records[0]
         assert ground["outcome"] == "converged" and ground["residual_calls"] >= 1
         assert len(ground["roots"]) == 3
-        failed = [r for r in records if r["outcome"] == "failed"]
+        failed = [r for r in records[:-7] if r["outcome"] == "failed"]
         assert failed and all(r["error"] and r["message"] for r in failed)
 
         records[1]["energy"] += 1e-15
         records[2]["roots"][0][0] = float.hex(float.fromhex(records[2]["roots"][0][0]) + 1e-14)
+        ed4 = next(r for r in records if (r["n"], r["label"]) == (4, "ed"))
+        ed4["energies"][9] = float.hex(float.fromhex(ed4["energies"][9]) + 2**-40)
+        ed4["parity"][2] *= -1
         b.write_text("".join(json.dumps(r) + "\n" for r in records[:-1]))
         same = subprocess.run(script + ["--compare", str(a), str(a)], capture_output=True,
                               text=True, env=env, timeout=60)
@@ -534,10 +544,12 @@ class TestSeeding:
                               text=True, env=env, timeout=60)
         assert diff.returncode == 1
         lines = diff.stdout.splitlines()
-        assert len(lines) == 3
+        assert len(lines) == 5
         assert lines[0].startswith(f"N=4 {records[1]['label']}: energy ")
         assert lines[1].startswith(f"N=4 {records[2]['label']}: 1 roots moved")
-        assert lines[2] == f"N=8 {records[-1]['label']}: only in {a}"
+        assert lines[2] == f"N=4 ed: 1 of 16 energies moved, the largest by {2**-40:.3g} (level 10)"
+        assert lines[3] == "N=4 ed: parity differs at 1 of 16 levels, the first at level 3"
+        assert lines[4] == f"N=8 ed: only in {a}"
 
 
 class TestClassification:

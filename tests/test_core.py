@@ -23,6 +23,9 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0])
 PERM = np.eye(4)[[0, 2, 1, 3]]
+# tracemalloc peaks at N = 10 with vectors, as measured (11.3 and 21.8 MiB) plus 25%
+PEAK_DIAGONALIZE = int(1.25 * 11.3 * 2**20)
+PEAK_JOINT = int(1.25 * 21.8 * 2**20)
 
 
 def build_r_matrix(u):
@@ -110,7 +113,14 @@ class TestHamiltonian:
         h = core.build_hamiltonian(ModelParams(n_sites=n))
         res = core.diagonalize_symmetric(h)
         v = res.eigenvectors
+        assert v.dtype == np.float64
+        assert np.max(np.abs(v.T @ v - np.eye(2**n))) < 1e-12
+        assert np.max(np.linalg.norm(h @ v - v * res.eigenvalues, axis=0)) < 1e-12
         assert np.max(np.linalg.norm(v[::-1] - res.parity * v, axis=0)) < 1e-12
+        # sector 2N-k is the conjugate of sector k, so it has the same floats
+        vals, ks, _, _ = core._sector_eigh(h[core._twisted_orbits(n)[0][:, 0]])
+        for k in range(1, n):
+            assert np.array_equal(vals[ks == k], vals[ks == 2 * n - k])
         assert np.sum(res.parity) == 0  # tr U = 0
         bare = core.diagonalize_symmetric(h, want_vectors=False)
         assert bare.eigenvectors is None
@@ -126,6 +136,7 @@ class TestHamiltonian:
             core.diagonalize_symmetric(np.eye(3))
 
     def test_diagonalize_solves_sector_blocks_only(self, monkeypatch):
+        # one eigh per sector k = 0..N, none wider than a sector
         widths = []
         for name in ("eigh", "eigvalsh"):
             orig = getattr(np.linalg, name)
@@ -136,9 +147,22 @@ class TestHamiltonian:
 
             monkeypatch.setattr(np.linalg, name, recording)
         h = core.build_hamiltonian(ModelParams(n_sites=10))
-        core.diagonalize_symmetric(h)
-        core.diagonalize_symmetric(h, want_vectors=False)
-        assert widths and max(widths) <= 64
+        for want_vectors in (True, False):
+            widths.clear()
+            core.diagonalize_symmetric(h, want_vectors)
+            assert 0 < len(widths) <= 11 and max(widths) <= 64
+
+    def test_diagonalize_peak_memory(self):
+        import tracemalloc
+
+        h = core.build_hamiltonian(ModelParams(n_sites=10))
+        tracemalloc.start()
+        try:
+            core.diagonalize_symmetric(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= PEAK_DIAGONALIZE
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
@@ -313,7 +337,7 @@ class TestEigenstates:
 
         monkeypatch.setattr(core, "apply_transfer", counting)
         core.joint_eigenstates(ModelParams(n_sites=10))
-        assert 0 < sum(seen) <= 144
+        assert 0 < sum(seen) <= 108  # the runs of sectors k <= N; all 2N sectors hold 144
 
     def test_joint_basis_peak_memory(self):
         import tracemalloc
@@ -325,7 +349,7 @@ class TestEigenstates:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 32 * 2**20
+        assert peak <= PEAK_JOINT
 
     def test_transfer_eigenbasis_spans_family(self, rng):
         params = ModelParams(n_sites=4, thetas=tuple(rng.uniform(-0.1, 0.1, 4)))
