@@ -23,6 +23,9 @@ and a level in sector k has U-parity (-1)^k.
 """
 from __future__ import annotations
 
+import math
+import mmap
+
 import numpy as np
 
 from .model import (
@@ -49,6 +52,22 @@ def _check_capacity(n: int):
 def _check_zero_thetas(params: ModelParams, what: str):
     if any(abs(t) > 1e-14 for t in params.thetas):
         raise ValueError(f"{what} needs all thetas zero")
+
+
+def _dense(shape, dtype=float) -> np.ndarray:
+    """Zeros for a dense result; from 4 MiB up on an anonymous mapping of its own.
+
+    Callers keep these results (H, a sector basis, t(u)) while they allocate
+    and free many temporaries. Inside malloc's heap such a block pins the
+    blocks around it and leaves a resident hole when freed, so the peak RSS
+    of a loop over ED at N = 10 would depend on the history of the heap and
+    differ by a whole 16 MiB matrix from one run to the next. A mapping of
+    its own goes back to the OS when the array is freed.
+    """
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    if nbytes < 4 << 20:
+        return np.zeros(shape, dtype)
+    return np.frombuffer(mmap.mmap(-1, nbytes), dtype).reshape(shape)
 
 
 def _r_weights(u):
@@ -78,7 +97,7 @@ def _hamiltonian_rows(params: ModelParams, rows) -> np.ndarray:
     rows = np.asarray(rows)
     at = np.arange(len(rows))
     spins = (rows >> np.arange(n - 1, -1, -1)[:, None]) & 1  # row j-1: site j
-    h = np.zeros((len(rows), 2**n))
+    h = _dense((len(rows), 2**n))
     for j in range(n):
         k = (j + 1) % n
         anti = spins[j] != spins[k]
@@ -120,7 +139,7 @@ def build_transfer_matrix(u: complex, params: ModelParams) -> np.ndarray:
     bp, bm = _r_weights(u - theta[0])
     (m00, m01), (m10, m11) = m
     s = len(m00)
-    t = np.empty((2 * s, 2 * s), dtype=complex)
+    t = _dense((2 * s, 2 * s), complex)
     t[:s, :s], t[:s, s:] = bp * m00 + bm * m11, m01
     t[s:, :s], t[s:, s:] = m10, bm * m00 + bp * m11
     t += 0.0  # every zero entry +0.0, whatever the signs of the weights
@@ -215,7 +234,7 @@ def _sector_eigh(rows: np.ndarray, dtype=None):
     if dtype is float:  # sqrt2 Im v is the real part of i sqrt2 conj(v), the partner's column
         coef *= np.where(ks % n, np.sqrt(2), 1.0) * np.where(ks > n, 1j, 1.0)
     phase = np.exp(-1j * np.pi / n * (np.outer(np.arange(2 * n), ks) % (2 * n)))
-    vecs = np.empty((2**n, len(ks)), dtype=dtype)
+    vecs = _dense((2**n, len(ks)), dtype)
     for orbit, length, c in zip(table, lengths, coef):
         block = c * phase[:length]
         vecs[orbit[:length]] = block.real if dtype is float else block

@@ -5,6 +5,9 @@ scalar, symmetry conjugations) or cross-constructions (the Hamiltonian
 rebuilt from the transfer derivative, the matrix-free transfer action
 against the dense transfer matrix).
 """
+import ctypes
+import sys
+
 import numpy as np
 import pytest
 
@@ -163,6 +166,31 @@ class TestHamiltonian:
         finally:
             tracemalloc.stop()
         assert peak <= PEAK_DIAGONALIZE
+
+    def test_dense_results_stay_off_the_malloc_heap(self):
+        # a kept result inside the heap would pin it and leave a resident hole when freed
+        if not sys.platform.startswith("linux") or not hasattr(ctypes.CDLL(None), "mallinfo2"):
+            pytest.skip("needs glibc >= 2.33")
+
+        class Mallinfo2(ctypes.Structure):
+            _fields_ = [(name, ctypes.c_size_t) for name in (
+                "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+                "uordblks", "fordblks", "keepcost")]
+
+        mallinfo2 = ctypes.CDLL(None).mallinfo2
+        mallinfo2.argtypes, mallinfo2.restype = [], Mallinfo2
+
+        def malloced():
+            info = mallinfo2()
+            return info.uordblks + info.hblkhd
+
+        params = ModelParams(n_sites=10)
+        before = malloced()
+        h = core.build_hamiltonian(params)
+        kept = [h, core.diagonalize_symmetric(h).eigenvectors, core.joint_eigenstates(params)[1],
+                core.build_transfer_matrix(U_PROBE, params)]
+        assert sum(a.nbytes for a in kept) == 48 * 2**20
+        assert malloced() - before < 2**20
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
