@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Ground energy per site versus system size.
 
-Solves the zero-point equations for N = 8 .. nmax and compares E/N against
-the closed-form density e_g = (3 - 3 sqrt 3)/2, exhibiting the finite-size
-gap closing like 1/N^2. With two or more sizes N >= 64 it ends with a
+Solves the zero-point equations at N = 2^k and 2^k + 1 for 8 <= 2^k <= nmax,
+so both parities of N are on the curve, and compares E/N against the
+closed-form density e_g = (3 - 3 sqrt 3)/2, exhibiting the finite-size gap
+closing like 1/N^2. With two or more sizes N >= 64 it ends with a
 least-squares fit E/N - e_g = c/N^2 + d/N^4 over those sizes. The solves
-for N = 8 .. 1024 take about 1 s together on 2 CPUs (numpy with OpenBLAS).
+for N = 8 .. 1025 take about 2 s together on 2 CPUs (numpy with OpenBLAS).
 """
 import argparse
 import time
@@ -25,8 +26,12 @@ def main():
     print(f"e_g = {eg:.15f}\n")
     print(f"{'N':>5} {'E/N':>20} {'E/N - e_g':>12} {'N^2*(E/N - e_g)':>16} its  secs")
     fit = []
+    sizes = []
     n = 8
     while n <= args.nmax:
+        sizes += [n, n + 1]
+        n *= 2
+    for n in sizes:
         params = ModelParams(n_sites=n)
         t0 = time.monotonic()
         zps = bae.solve_newton(
@@ -38,7 +43,6 @@ def main():
               f"{zps.iterations:>3} {dt:>5.2f}")
         if n >= 64:
             fit.append((n, gap))
-        n *= 2
     if len(fit) >= 2:
         ns, gaps = np.array(fit).T
         c, d = np.linalg.lstsq(np.c_[ns**-2, ns**-4], gaps, rcond=None)[0]

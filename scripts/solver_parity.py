@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Outcome record of the zero-point solver and of ED over fixed inputs.
 
-Solves every labeling of bae.enumerate_seed_sets at even N = 4..16, type_I
-at N = 32 (J = 0, 5) and N = 64 (J = 0, 17), and the ground at N = 32, 64,
-128, 256 and 1024: 137 labelings, about 2 s on 2 CPUs. Each gets one JSON
-line: the outcome, the exception class and message of a failed solve, the
-iterations, energy and residual, the roots as hex floats and the number of
-bae_residual calls. Then one line per N = 2..12, labeled "ed": the
-spectrum of core.diagonalize_symmetric without vectors as hex floats, the
-parity of each level and, for N <= 10, the worst relative t(U_PROBE)
-residual of the columns of core.joint_eigenstates; about 1 s more.
+Solves every labeling of bae.enumerate_seed_sets at N = 4..16 (odd N
+included), type_I at N = 32 (J = 0, 5) and N = 64 (J = 0, 17), and the
+ground at N = 32, 64, 128, 256 and 1024: 245 labelings, 137 of them at even
+N, about 2 s on 2 CPUs. Each gets one JSON line: the outcome, the exception
+class and message of a failed solve, the iterations, energy and residual,
+the roots as hex floats and the number of bae_residual calls. Then one
+line per N = 2..12, labeled "ed": the spectrum of core.diagonalize_symmetric
+without vectors as hex floats, the parity of each level and, for N <= 10,
+the worst relative t(U_PROBE) residual of the columns of
+core.joint_eigenstates; about 1 s more.
 --nmax keeps the inputs with N <= nmax.
 
     python scripts/solver_parity.py --out before.jsonl
@@ -38,7 +39,7 @@ _SLAB = 64  # columns per apply_transfer call in that check
 
 def labelings(nmax):
     """(N, label, quantum numbers) for every labeling of the set with N <= nmax."""
-    for n in range(4, min(nmax, 16) + 1, 2):
+    for n in range(4, min(nmax, 16) + 1):
         for label, qn in bae.enumerate_seed_sets(n):
             yield n, label, qn
     for n, j in _TYPE_ONE:

@@ -217,34 +217,34 @@ def _check_collisions(z, tol, residual):
 
 
 def ground_numbers(n: int) -> QuantumNumberSet:
-    """Consecutive bulk integers -N/2+1 .. N/2-1, no excitation."""
-    _require_even(n)
-    return QuantumNumberSet(bulk=tuple(range(-n // 2 + 1, n // 2)))
+    """Bulk numbers c(N-1), no excitation; c(k) = _centred(k)."""
+    return QuantumNumberSet(bulk=_centred(n - 1))
 
 
-def type_one_numbers(n: int, j: int) -> QuantumNumberSet:
-    """N-2 consecutive half-odd bulk numbers plus one half-line number J."""
-    _require_even(n)
-    if not -n // 2 + 1 <= j <= n // 2 - 1:
-        raise ValueError(f"J = {j} outside the admissible window for N = {n}")
+def type_one_numbers(n: int, j: float) -> QuantumNumberSet:
+    """Bulk numbers c(N-2) plus one half-line number J from c(N-1).
+
+    J is an integer at even N and half-odd at odd N; any other J would
+    name the level of a neighbouring J.
+    """
+    if j not in _centred(n - 1):
+        raise ValueError(f"J = {j} not in the window {-(n - 2) / 2:g}, ..., {(n - 2) / 2:g}")
     return QuantumNumberSet(
-        bulk=_half_odd(n - 2),
+        bulk=_centred(n - 2),
         excitations=(Excitation("type_I", float(j)),),
     )
 
 
 def type_two_numbers(n: int, position: int) -> QuantumNumberSet:
-    """Half-odd bulk slots with a gap; the string number is tied to the gap.
+    """Bulk slots c(N-2) with a gap; the string takes the number of the gap.
 
-    The N-2 descending half-odd slots lose the one at 1-based position
-    `position`, and the string takes K = (N-1)/2 - position.
+    The slot at 1-based `position` of c(N-2) in descending order is
+    vacated, and its number K = (N-1)/2 - position becomes the string's.
     """
-    _require_even(n)
-    if not 1 <= position <= n - 2:
+    if position not in range(1, n - 1):
         raise ValueError(f"position {position} outside 1..{n - 2}")
-    slots = sorted(_half_odd(n - 2), reverse=True)
-    slots.pop(position - 1)
-    k = (n - 1) / 2 - position
+    slots = list(reversed(_centred(n - 2)))
+    k = slots.pop(position - 1)
     return QuantumNumberSet(
         bulk=tuple(slots),
         excitations=(Excitation("type_II", k),),
@@ -252,15 +252,15 @@ def type_two_numbers(n: int, position: int) -> QuantumNumberSet:
 
 
 def enumerate_seed_sets(n: int):
-    """Every labeling used for the full-spectrum scans.
+    """Every labeling used for the full-spectrum scans: the ground, type_I
+    at each J of c(N-1) and type_II at each position 1..N-2.
 
     For N = 4 the ground plus single-excitation classes leave two levels
     uncovered; those are the two-excitation labelings appended at the end
     (one pair of half-line roots, and one half-line root plus one string).
     """
-    _require_even(n)
     sets = [("ground", ground_numbers(n))]
-    for j in range(-n // 2 + 1, n // 2):
+    for j in _centred(n - 1):
         sets.append((f"type_I J={j}", type_one_numbers(n, j)))
     for pos in range(1, n - 1):
         sets.append((f"type_II pos={pos}", type_two_numbers(n, pos)))
@@ -282,13 +282,10 @@ def enumerate_seed_sets(n: int):
     return sets
 
 
-def _half_odd(count: int) -> tuple:
-    return tuple(-(count - 1) / 2 + i for i in range(count))
-
-
-def _require_even(n: int):
-    if n % 2:
-        raise ValueError("quantum-number conventions are calibrated for even N only")
+def _centred(k: int) -> tuple:
+    """c(k): the k centred consecutive numbers -(k-1)/2, ..., (k-1)/2, Python
+    ints for odd k and half-odd floats for even k."""
+    return tuple(range(-(k // 2), k // 2 + 1) if k % 2 else (-(k - 1) / 2 + i for i in range(k)))
 
 
 # Idealized logarithmic system of the centres, by class (0 bulk root,

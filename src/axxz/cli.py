@@ -366,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bae", help="solve the zero-point equations for one labeling")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--pattern", choices=_PATTERNS, default="ground")
-    p.add_argument("--number", type=int, default=None, help="half-line number J (type_I)")
+    p.add_argument("--number", type=_finite_float, default=None,
+                   help="half-line number J (type_I): an integer at even N, half-odd at odd N")
     p.add_argument("--position", type=int, default=None, help="1-based gap slot (type_II)")
     p.add_argument("--tol", type=_finite_float, default=None)
     _add_common(p, run_bae)

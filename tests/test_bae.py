@@ -385,21 +385,39 @@ class TestQuantumNumbers:
         assert bae.ground_numbers(6).bulk == (-2.0, -1.0, 0.0, 1.0, 2.0)
 
     def test_type_one_window(self):
-        with pytest.raises(ValueError):
-            bae.type_one_numbers(6, 3)
+        # a half-odd J at even N would converge onto the level of a neighbouring J
+        for j in (0.5, 1.5, 3):
+            with pytest.raises(ValueError, match=r"-2, \.\.\., 2"):
+                bae.type_one_numbers(6, j)
         qn = bae.type_one_numbers(6, -2)
         assert len(qn.bulk) == 4 and qn.excitations == (Excitation("type_I", -2.0),)
 
     def test_type_two_positions(self):
-        with pytest.raises(ValueError):
-            bae.type_two_numbers(6, 5)
+        for position in (1.5, 5):
+            with pytest.raises(ValueError, match=f"position {position}"):
+                bae.type_two_numbers(6, position)
         qn = bae.type_two_numbers(6, 1)
         assert qn.excitations == (Excitation("type_II", 1.5),)  # (N-1)/2 - 1
         assert len(qn.bulk) == 3
 
-    def test_odd_sizes_rejected(self):
-        with pytest.raises(ValueError):
-            bae.ground_numbers(5)
+    def test_odd_sizes_centred(self):
+        assert bae.ground_numbers(5).bulk == (-1.5, -0.5, 0.5, 1.5)
+        qn = bae.type_one_numbers(5, -1.5)
+        assert qn.bulk == (-1.0, 0.0, 1.0) and qn.excitations == (Excitation("type_I", -1.5),)
+        with pytest.raises(ValueError, match=r"-1\.5, \.\.\., 1\.5"):
+            bae.type_one_numbers(5, 1)
+        assert [label for label, _ in bae.enumerate_seed_sets(5)] == [
+            "ground", "type_I J=-1.5", "type_I J=-0.5", "type_I J=0.5", "type_I J=1.5",
+            "type_II pos=1", "type_II pos=2", "type_II pos=3"]
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_string_takes_the_vacated_slot(self, n):
+        slots = {(n - 3) / 2 - i for i in range(n - 2)}
+        for position in range(1, n - 1):
+            qn = bae.type_two_numbers(n, position)
+            (string,) = qn.excitations
+            assert string.number == (n - 1) / 2 - position
+            assert set(qn.bulk) == slots - {string.number} and len(qn.bulk) == n - 3
 
     def test_seed_root_count_guard(self, params6):
         with pytest.raises(ValueError):
@@ -447,6 +465,17 @@ class TestSeeding:
         zps, _ = _solve(bae.type_one_numbers(n, j), n)
         assert np.min(np.abs(_ed_levels(n) - zps.energy)) < 1e-8
         assert bae.classify_roots(zps, tol=0.1).name == "type_I"
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    def test_odd_sizes_match_ed(self, n):
+        # from N = 9 on, type_II fails away from the edge positions, as at even N
+        for label, qn in bae.enumerate_seed_sets(n):
+            kind = label.split()[0]
+            if kind == "type_II" and n > 7:
+                continue
+            zps, _ = _solve(qn, n)
+            assert np.min(np.abs(_ed_levels(n) - zps.energy)) < 1e-8, label
+            assert bae.classify_roots(zps, tol=0.1).name == {"ground": "ground-like"}.get(kind, kind)
 
     @pytest.mark.parametrize("position", [1, 6])
     def test_type_two_matches_ed(self, position):
@@ -505,7 +534,7 @@ class TestSeeding:
         assert proc.returncode == 0, proc.stderr
         sizes = [int(line.split()[0]) for line in proc.stdout.splitlines()
                  if line.split() and line.split()[0].isdigit()]
-        assert sizes == [8, 16, 32]
+        assert sizes == [8, 9, 16, 17, 32, 33]
 
     def test_solver_parity_script_runs(self, tmp_path):
         root = Path(__file__).resolve().parents[1]
@@ -517,7 +546,7 @@ class TestSeeding:
                        timeout=60)
         records = [json.loads(line) for line in a.read_text().splitlines()]
         assert [(r["n"], r["label"]) for r in records] == [
-            (n, label) for n in (4, 6, 8) for label, _ in bae.enumerate_seed_sets(n)] + [
+            (n, label) for n in range(4, 9) for label, _ in bae.enumerate_seed_sets(n)] + [
             (n, "ed") for n in range(2, 9)]
         for ed in records[-7:]:
             levels = core.diagonalize_symmetric(

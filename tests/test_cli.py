@@ -77,9 +77,18 @@ class TestBae:
         code, _, err = run(capsys, "bae", "--n", "6", "--pattern", "type_I")
         assert code == 2 and "--number" in err
 
-    def test_odd_size_rejected(self, capsys):
-        code, _, _ = run(capsys, "bae", "--n", "5")
-        assert code == 2
+    @pytest.mark.parametrize("argv, pattern", [
+        ([], "ground-like"), (["--pattern", "type_I", "--number", "0.5"], "type_I"),
+    ], ids=["ground", "type_I"])
+    def test_odd_size_accepted(self, capsys, argv, pattern):
+        code, out, _ = run(capsys, "bae", "--n", "7", *argv, "--format", "json")
+        assert code == 0 and json.loads(out)["classified"] == pattern
+
+    @pytest.mark.parametrize("n, number, window", [("7", "1", "-2.5, ..., 2.5"),
+                                                   ("6", "2.5", "-2, ..., 2")])
+    def test_number_outside_window_rejected(self, capsys, n, number, window):
+        code, out, err = run(capsys, "bae", "--n", n, "--pattern", "type_I", "--number", number)
+        assert code == 2 and out == "" and window in err
 
     def test_zero_tol_rejected(self, capsys):
         code, _, err = run(capsys, "bae", "--n", "6", "--tol", "0")
