@@ -7,10 +7,10 @@ ground at N = 32, 64, 128, 256 and 1024: 245 labelings, 137 of them at even
 N, about 2 s on 2 CPUs. Each gets one JSON line: the outcome, the exception
 class and message of a failed solve, the iterations, energy and residual,
 the roots as hex floats and the number of bae_residual calls. Then one
-line per N = 2..12, labeled "ed": the spectrum of core.diagonalize_symmetric
-without vectors as hex floats, the parity of each level and, for N <= 10,
-the worst relative t(U_PROBE) residual of the columns of
-core.joint_eigenstates; about 1 s more.
+line per N = 2..12, labeled "ed": the levels of core.spectrum as hex
+floats, the parity of each level and, for N <= 10, the worst relative
+t(U_PROBE) residual of the columns of core.joint_eigenstates; about 1 s
+more.
 --nmax keeps the inputs with N <= nmax.
 
     python scripts/solver_parity.py --out before.jsonl
@@ -86,7 +86,7 @@ def ed_records(nmax):
     for N <= _JOINT_MAX the worst |t v - lambda v| / |t v| over the joint basis."""
     for n in range(2, min(nmax, ED_CAP) + 1):
         params = ModelParams(n_sites=n)
-        res = core.diagonalize_symmetric(core.build_hamiltonian(params), want_vectors=False)
+        res = core.spectrum(params)
         rec = {"n": n, "label": "ed", "energies": [float(e).hex() for e in res.eigenvalues],
                "parity": res.parity.tolist()}
         if n <= _JOINT_MAX:

@@ -13,14 +13,15 @@ one place, to stdout or --out. JSON is the document, indented by one space
 when it holds an array and on one line otherwise; a complex value is
 {"re": x, "im": y}. CSV is the rows joined by commas, a float cell as repr
 (so both forms round-trip exactly), None as an empty cell, anything else as
-str. A result with no document (a corrupted table1 fixture) is written as
-rows in both formats.
+str.
 
 Exit codes: 0 success, 2 invalid input (a float option that is NaN or
 infinite, thermo --n below 2, a thermo or bae option that does not apply to
-the quantity or pattern, table1 --tol not positive, and a size whose arrays
-cannot be allocated included) or failed validation, 3 solver non-convergence
-or a root collision after convergence, 4 I/O failure.
+the quantity or pattern, table1 --tol not positive, a corrupted table1
+fixture, and a size whose arrays cannot be allocated included) or failed
+validation, 3 solver non-convergence or a root collision after convergence,
+4 I/O failure. Every error leaves through main as one "error: ..." line on
+stderr.
 """
 from __future__ import annotations
 
@@ -40,21 +41,21 @@ from .core import (
     diagonalize_symmetric,
     hamiltonian_from_transfer,
     joint_eigenstates,
+    spectrum,
     transfer_eigenbasis,
 )
 from .model import (
+    ED_CAP,
     ETA,
     U_PROBE,
+    DensityProfile,
     ExcitationSpec,
     ModelParams,
     NonConvergenceError,
     ZeroPointSet,
 )
 
-_QUANTITIES = ("eg", "de1", "de2", "rho", "drho1", "drho2", "delta")
 _PROCESSES = ("I_I", "II_II", "I_II")
-_PATTERNS = ("ground", "type_I", "type_II")
-_BAE_OPTIONS = {"ground": (), "type_I": ("number",), "type_II": ("position",)}
 
 
 def _cnum(z: complex) -> dict:
@@ -67,11 +68,28 @@ def _cell(x) -> str:
     return "" if x is None else str(x)
 
 
-def _render(fmt: str, doc: dict | None, rows) -> str:
-    if fmt == "json" and doc is not None:
+def _render(fmt: str, doc: dict, rows) -> str:
+    if fmt == "json":
         nested = any(isinstance(v, list) for v in doc.values())
         return json.dumps(doc, indent=1 if nested else None)
     return "\n".join(",".join(_cell(c) for c in row) for row in rows)
+
+
+def _required(cfg: argparse.Namespace, choice: str, opt: str, why: str):
+    """cfg.<opt>, which the choice cannot do without."""
+    if getattr(cfg, opt) is None:
+        raise ValueError(f"{choice} needs --{opt} ({why})")
+    return getattr(cfg, opt)
+
+
+def _compute(cfg: argparse.Namespace, dest: str, table: dict):
+    """What table computes for the choice cfg.<dest>, once every option given
+    applies to it; table maps each choice to (its options, its function)."""
+    choice = getattr(cfg, dest)
+    for opt in dict.fromkeys(o for opts, _ in table.values() for o in opts):
+        if getattr(cfg, opt) is not None and opt not in table[choice][0]:
+            raise ValueError(f"--{opt.replace('_', '-')} does not apply to --{dest} {choice}")
+    return table[choice][1](cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -79,32 +97,26 @@ def _render(fmt: str, doc: dict | None, rows) -> str:
 
 
 def run_ed(cfg: argparse.Namespace):
-    params = ModelParams(n_sites=cfg.n)
-    res = diagonalize_symmetric(build_hamiltonian(params), want_vectors=False)
+    res = spectrum(ModelParams(n_sites=cfg.n))
     levels = [{"level": i + 1, "energy": float(e), "parity": p}
               for i, (e, p) in enumerate(zip(res.eigenvalues, res.parity.tolist()))]
     return 0, {"n": cfg.n, "levels": levels}, [list(r.values()) for r in levels]
 
 
-def _quantum_numbers(cfg: argparse.Namespace):
-    for opt in ("number", "position"):
-        if getattr(cfg, opt) is not None and opt not in _BAE_OPTIONS[cfg.pattern]:
-            raise ValueError(f"--{opt} does not apply to --pattern {cfg.pattern}")
-    if cfg.pattern == "ground":
-        return bae.ground_numbers(cfg.n)
-    if cfg.pattern == "type_I":
-        if cfg.number is None:
-            raise ValueError("type_I needs --number (the half-line quantum number J)")
-        return bae.type_one_numbers(cfg.n, cfg.number)
-    if cfg.position is None:
-        raise ValueError("type_II needs --position (1-based gap slot)")
-    return bae.type_two_numbers(cfg.n, cfg.position)
+# each --pattern: the options that apply to it, and its quantum numbers
+_PATTERNS = {
+    "ground": ((), lambda cfg: bae.ground_numbers(cfg.n)),
+    "type_I": (("number",), lambda cfg: bae.type_one_numbers(
+        cfg.n, _required(cfg, "type_I", "number", "the half-line quantum number J"))),
+    "type_II": (("position",), lambda cfg: bae.type_two_numbers(
+        cfg.n, _required(cfg, "type_II", "position", "1-based gap slot"))),
+}
 
 
 def run_bae(cfg: argparse.Namespace):
     params = ModelParams(n_sites=cfg.n)
     tol = {} if cfg.tol is None else {"tol": cfg.tol}
-    zps = bae.solve_from_quantum_numbers(_quantum_numbers(cfg), params, **tol)
+    zps = bae.solve_from_quantum_numbers(_compute(cfg, "pattern", _PATTERNS), params, **tol)
     pattern = bae.classify_roots(zps, tol=0.1)
     lams = zps.shifted
     doc = {
@@ -125,8 +137,10 @@ def run_bae(cfg: argparse.Namespace):
 
 def run_verify(cfg: argparse.Namespace):
     n = cfg.n
-    if n > 8:
-        raise ValueError("verify is limited to n <= 8 (dense t(probe) for the seeded eigenbasis)")
+    if cfg.seed is not None and n > 8:
+        raise ValueError("verify --seed is limited to n <= 8 (dense t(probe) for its eigenbasis)")
+    if n > ED_CAP:
+        raise ValueError(f"verify is limited to n <= {ED_CAP} (the dense H of the H-from-t check)")
     for flag in ("levels", "samples"):
         if getattr(cfg, flag) < 1:
             raise ValueError(f"--{flag} must be at least 1")
@@ -201,46 +215,55 @@ def run_verify(cfg: argparse.Namespace):
 
 
 _GRID = np.linspace(-5.0, 5.0, 201)
-_THERMO_OPTIONS = {"eg": (), "de1": ("alpha",), "de2": ("alpha",), "delta": ("hole_pos",),
-                   "rho": ("n", "hole_pos"), "drho1": ("alpha", "n"), "drho2": ("alpha", "n")}
+
+
+def _zero(x):
+    """An unset rapidity option as 0."""
+    return 0.0 if x is None else x
+
+
+def _spec(cfg: argparse.Namespace, kind: str) -> ExcitationSpec:
+    return ExcitationSpec(kind, _zero(cfg.alpha))
+
+
+def _rho(cfg: argparse.Namespace):
+    if (cfg.n is None) != (cfg.hole_pos is None):
+        raise ValueError("finite-size rho needs both --n and --hole-pos")
+    return thermo.ground_profile(cfg.hole_pos, cfg.n or math.inf)
+
+
+def _correction(cfg: argparse.Namespace, kind: str):
+    n = _required(cfg, cfg.quantity, "n", "it scales like 1/N")
+    return thermo.excitation_profile(_spec(cfg, kind), n)
+
+
+# each --quantity: the options that apply to it, and its value or its density
+# profile; a value is reported with the options that apply, 0 when unset
+_QUANTITIES = {
+    "eg": ((), lambda cfg: thermo.ground_energy_density()),
+    "de1": (("alpha",), lambda cfg: thermo.excitation_energy(_spec(cfg, "type_I"))),
+    "de2": (("alpha",), lambda cfg: thermo.excitation_energy(_spec(cfg, "type_II"))),
+    "rho": (("hole_pos", "n"), _rho),
+    "drho1": (("alpha", "n"), lambda cfg: _correction(cfg, "type_I")),
+    "drho2": (("alpha", "n"), lambda cfg: _correction(cfg, "type_II")),
+    "delta": (("hole_pos",), lambda cfg: thermo.hole_delta(_zero(cfg.hole_pos))),
+}
 
 
 def run_thermo(cfg: argparse.Namespace):
-    q = cfg.quantity
     if cfg.n is not None and cfg.n < 2:
         raise ValueError(f"--n must be at least 2, got {cfg.n}")
-    for opt in ("alpha", "hole_pos", "n"):
-        if getattr(cfg, opt) is not None and opt not in _THERMO_OPTIONS[q]:
-            raise ValueError(f"--{opt.replace('_', '-')} does not apply to --quantity {q}")
-    if q == "rho" and (cfg.n is None) != (cfg.hole_pos is None):
-        raise ValueError("finite-size rho needs both --n and --hole-pos")
-    alpha = 0.0 if cfg.alpha is None else cfg.alpha
-    if q in ("eg", "de1", "de2", "delta"):
-        if q == "eg":
-            meta, value = {}, thermo.ground_energy_density()
-        elif q == "delta":
-            hp = cfg.hole_pos if cfg.hole_pos is not None else 0.0
-            meta, value = {"hole_pos": hp}, thermo.hole_delta(hp)
-        else:
-            kind = "type_I" if q == "de1" else "type_II"
-            spec = ExcitationSpec(kind, alpha)
-            meta, value = {"alpha": alpha}, thermo.excitation_energy(spec)
-        return 0, {"quantity": q, **meta, "value": float(value)}, [(float(value),)]
-    if q == "rho":
-        profile = thermo.ground_profile(cfg.hole_pos, cfg.n or math.inf)
-    elif cfg.n is None:  # drho1 / drho2 are finite-size corrections
-        raise ValueError(f"{q} needs --n (it scales like 1/N)")
-    else:
-        spec = ExcitationSpec("type_I" if q == "drho1" else "type_II", alpha)
-        profile = thermo.excitation_profile(spec, cfg.n)
-    vals, atoms = [profile.smooth(x) for x in _GRID], profile.holes
+    result = _compute(cfg, "quantity", _QUANTITIES)
+    if not isinstance(result, DensityProfile):
+        meta = {opt: _zero(getattr(cfg, opt)) for opt in _QUANTITIES[cfg.quantity][0]}
+        return 0, {"quantity": cfg.quantity, **meta, "value": float(result)}, [(float(result),)]
     doc = {
-        "quantity": q,
-        "alpha": alpha,
+        "quantity": cfg.quantity,
+        "alpha": _zero(cfg.alpha),
         "n": cfg.n,
         "lambda": [float(x) for x in _GRID],
-        "values": [float(v) for v in vals],
-        "atoms": [{"position": float(p), "weight": float(w)} for p, w in atoms],
+        "values": [float(result.smooth(x)) for x in _GRID],
+        "atoms": [{"position": float(p), "weight": float(w)} for p, w in result.holes],
     }
     rows = list(zip(doc["lambda"], doc["values"]))
     rows += [("atom", a["position"], a["weight"]) for a in doc["atoms"]]
@@ -254,8 +277,7 @@ def _short(x: float) -> str:
 
 
 def run_scatter(cfg: argparse.Namespace):
-    amp = thermo.smatrix(cfg.process, cfg.a1, cfg.a2)
-    v = amp.value
+    v = thermo.smatrix(cfg.process, cfg.a1, cfg.a2).value
     im = _short(v.imag)
     doc = {"process": cfg.process, "a1": cfg.a1, "a2": cfg.a2, "value": _cnum(v)}
     return 0, doc, [(_short(v.real) + ("" if im.startswith("-") else "+") + im + "i",)]
@@ -294,18 +316,16 @@ def _load_fixture(path: str):
 
 
 def run_table1(cfg: argparse.Namespace):
-    tol = cfg.tol if cfg.tol is not None else 1e-3
-    if not tol > 0:
-        raise ValueError(f"--tol must be positive, got {tol:g}")
+    if not cfg.tol > 0:
+        raise ValueError(f"--tol must be positive, got {cfg.tol:g}")
     path = cfg.fixture or _bundled_fixture()
     try:
         rows = _load_fixture(path)
     except ValueError as exc:
-        return 2, None, [(f"corrupted fixture: {exc}",)]
+        raise ValueError(f"corrupted fixture: {exc}") from None
 
     params = ModelParams(n_sites=6)
-    ed = diagonalize_symmetric(build_hamiltonian(params), want_vectors=False)
-    ed_vals = np.asarray(ed.eigenvalues)
+    ed_vals = spectrum(params).eigenvalues
 
     def solve_row(row):
         seed = ZeroPointSet.from_shifted(row["lambdas"])
@@ -319,7 +339,7 @@ def run_table1(cfg: argparse.Namespace):
             "energy_ed": float(ed_vals[i]),
             "delta_fixture": d_fixture,
             "delta_ed": d_ed,
-            "ok": bool(d_fixture <= tol and d_ed <= 1e-8),
+            "ok": bool(d_fixture <= cfg.tol and d_ed <= 1e-8),
         }
 
     results = [solve_row(r) for r in rows]
@@ -327,7 +347,7 @@ def run_table1(cfg: argparse.Namespace):
     lines = [(r["level"], r["energy_fixture"], r["energy_solved"], r["energy_ed"],
               r["delta_fixture"], r["delta_ed"], "OK" if r["ok"] else "FAIL") for r in results]
     lines.append(("summary", "rows", len(results), "failed", failed))
-    return (0 if failed == 0 else 2), {"tol": tol, "rows": results, "failed": failed}, lines
+    return (0 if failed == 0 else 2), {"tol": cfg.tol, "rows": results, "failed": failed}, lines
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bae", help="solve the zero-point equations for one labeling")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--pattern", choices=_PATTERNS, default="ground")
+    p.add_argument("--pattern", choices=tuple(_PATTERNS), default="ground")
     p.add_argument("--number", type=_finite_float, default=None,
                    help="half-line number J (type_I): an integer at even N, half-odd at odd N")
     p.add_argument("--position", type=int, default=None, help="1-based gap slot (type_II)")
@@ -381,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, run_verify)
 
     p = sub.add_parser("thermo", help="closed-form limit quantities")
-    p.add_argument("--quantity", choices=_QUANTITIES, required=True)
+    p.add_argument("--quantity", choices=tuple(_QUANTITIES), required=True)
     p.add_argument("--alpha", type=_finite_float, default=None, help="rapidity (default 0)")
     p.add_argument("--hole-pos", dest="hole_pos", type=_finite_float, default=None)
     p.add_argument("--n", type=int, default=None, help="finite size for 1/N corrections")
@@ -394,12 +414,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, run_scatter)
 
     p = sub.add_parser("table1", help="re-converge the bundled N = 6 table against ED")
-    p.add_argument("--tol", type=_finite_float, default=None,
+    p.add_argument("--tol", type=_finite_float, default=1e-3,
                    help="energy tolerance (default 1e-3)")
     p.add_argument("--fixture", default=None, help="alternate fixture CSV path")
     _add_common(p, run_table1)
 
     return ap
+
+
+# the exit code of each error, first match: a root collision is a solver failure
+# although it is a ValueError, and an input too large to allocate is invalid
+_EXIT_CODES = {NonConvergenceError: 3, ValueError: 2, MemoryError: 2, OSError: 4}
 
 
 def main(argv=None) -> int:
@@ -414,15 +439,9 @@ def main(argv=None) -> int:
                 fh.write(text + "\n")
     except SystemExit as exc:  # argparse printed its help (0) or a usage error (2)
         return exc.code
-    except NonConvergenceError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, MemoryError) as exc:  # an input too large to allocate is invalid
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
     return code
 
 

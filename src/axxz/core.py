@@ -86,13 +86,19 @@ def build_hamiltonian(params: ModelParams) -> np.ndarray:
     parallel pairs. The diagonal sums bonds in order j = 1..N-1, then the
     boundary.
     """
+    _check_capacity(params.n_sites)
     return _hamiltonian_rows(params, np.arange(2**params.n_sites))
+
+
+def _representative_rows(params: ModelParams) -> np.ndarray:
+    """The rows of H at the orbit representatives of G; the cap is checked before the orbit table."""
+    _check_capacity(params.n_sites)
+    return _hamiltonian_rows(params, _twisted_orbits(params.n_sites)[0][:, 0])
 
 
 def _hamiltonian_rows(params: ModelParams, rows) -> np.ndarray:
     """The rows of H at the basis indices `rows`, shape (len(rows), 2^N)."""
     n = params.n_sites
-    _check_capacity(n)
     ch = np.cosh(ETA).real
     rows = np.asarray(rows)
     at = np.arange(len(rows))
@@ -241,7 +247,18 @@ def _sector_eigh(rows: np.ndarray, dtype=None):
     return vals[order], ks, vecs, partner
 
 
-def diagonalize_symmetric(m: np.ndarray, want_vectors: bool = True) -> SpectrumResult:
+def spectrum(params: ModelParams) -> SpectrumResult:
+    """Ascending levels of H and their U-parities, without vectors.
+
+    Solved sector by sector (`_sector_eigh`) from the rows of H at the orbit
+    representatives alone, so no dense H is formed; the floats are those of
+    `diagonalize_symmetric(build_hamiltonian(params))`.
+    """
+    vals, ks, _, _ = _sector_eigh(_representative_rows(params))
+    return SpectrumResult(eigenvalues=vals, parity=1 - 2 * (ks % 2))
+
+
+def diagonalize_symmetric(m: np.ndarray) -> SpectrumResult:
     """Full ascending spectrum of a real symmetric chain operator.
 
     The dimension must be 2^N and the matrix must commute with the twisted
@@ -269,7 +286,7 @@ def diagonalize_symmetric(m: np.ndarray, want_vectors: bool = True) -> SpectrumR
     g = _twist(np.arange(dim), n)
     if np.linalg.norm(m @ x[g] - mx[g]) > tol:
         raise ValueError("matrix does not commute with the twisted translation")
-    vals, ks, v, _ = _sector_eigh(m[_twisted_orbits(n)[0][:, 0]], float if want_vectors else None)
+    vals, ks, v, _ = _sector_eigh(m[_twisted_orbits(n)[0][:, 0]], float)
     return SpectrumResult(eigenvalues=vals, eigenvectors=v, parity=1 - 2 * (ks % 2))
 
 
@@ -286,8 +303,7 @@ def joint_eigenstates(params: ModelParams):
     """
     _check_zero_thetas(params, "joint eigenbasis")
     n = params.n_sites
-    vals, ks, vecs, partner = _sector_eigh(
-        _hamiltonian_rows(params, _twisted_orbits(n)[0][:, 0]), complex)
+    vals, ks, vecs, partner = _sector_eigh(_representative_rows(params), complex)
     # slots of the runs of levels within 1e-8 of each other inside one sector k <= N
     by_sector = np.lexsort((vals, ks))
     cut = (np.diff(ks[by_sector]) != 0) | (np.diff(vals[by_sector]) >= 1e-8)

@@ -99,10 +99,10 @@ class ModelParams:
 class SpectrumResult:
     """Full spectrum of a real symmetric chain operator.
 
-    eigenvectors, when asked for, are real orthonormal columns. parity
-    holds the +-1 label of each level under U = prod_j sigma^x_j, (-1)^k
-    for a level in momentum sector k of G (U = G^N); it is set with or
-    without eigenvectors.
+    eigenvectors are real orthonormal columns from `diagonalize_symmetric`
+    and None from `spectrum`. parity holds the +-1 label of each level
+    under U = prod_j sigma^x_j, (-1)^k for a level in momentum sector k of
+    G (U = G^N).
     """
 
     eigenvalues: np.ndarray

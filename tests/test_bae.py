@@ -550,7 +550,7 @@ class TestSeeding:
             (n, "ed") for n in range(2, 9)]
         for ed in records[-7:]:
             levels = core.diagonalize_symmetric(
-                core.build_hamiltonian(ModelParams(n_sites=ed["n"])), want_vectors=False)
+                core.build_hamiltonian(ModelParams(n_sites=ed["n"])))
             assert [float.fromhex(e) for e in ed["energies"]] == levels.eigenvalues.tolist()
             assert ed["parity"] == levels.parity.tolist()
             assert ed["t_residual"] < 1e-12

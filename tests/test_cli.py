@@ -55,6 +55,20 @@ class TestEd:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("argv", [["ed", "--n", "6"], ["table1"]], ids=["ed", "table1"])
+    def test_no_dense_hamiltonian(self, capsys, monkeypatch, argv):
+        # the levels come from the representative rows of H (core.spectrum)
+        from axxz import core
+
+        def refuse(*args, **kw):
+            raise AssertionError("dense H built")
+
+        for module in (core, cli):
+            monkeypatch.setattr(module, "build_hamiltonian", refuse)
+            monkeypatch.setattr(module, "diagonalize_symmetric", refuse)
+        code, _, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+
 
 class TestBae:
     def test_ground_energy(self, capsys, ed6):
@@ -166,9 +180,18 @@ class TestVerify:
         assert code == 2 and len(calls) == 5
         assert "check,cubic_identity,nan,1e-06,FAIL" in out.splitlines()
 
-    def test_size_cap(self, capsys):
-        code, _, _ = run(capsys, "verify", "--n", "10")
-        assert code == 2
+    def test_size_cap(self, capsys, monkeypatch):
+        # only the seeded eigenbasis needs the dense t(probe); unseeded, the ED cap applies
+        from axxz import core
+
+        assert run(capsys, "verify", "--n", "10")[0] == 0
+        code, _, err = run(capsys, "verify", "--n", "10", "--seed", "1")
+        assert code == 2 and "--seed" in err
+        calls = []
+        monkeypatch.setattr(cli, "apply_transfer", lambda *args: calls.append(args))
+        monkeypatch.setattr(core, "apply_transfer", lambda *args: calls.append(args))
+        code, out, err = run(capsys, "verify", "--n", "13")
+        assert code == 2 and out == "" and "n <= 12" in err and not calls
 
     @pytest.mark.parametrize("flag", ["--levels", "--samples"])
     def test_zero_count_rejected(self, capsys, flag):
@@ -291,9 +314,9 @@ class TestTable1:
     def test_structural_corruption_flagged(self, capsys, tmp_path):
         bad = tmp_path / "t.csv"
         bad.write_text("level,junk\n1,abc\n")
-        code, out, _ = run(capsys, "table1", "--fixture", str(bad))
-        assert code == 2
-        assert "corrupted fixture" in out
+        code, out, err = run(capsys, "table1", "--fixture", str(bad))
+        assert code == 2 and out == ""
+        assert err == "error: corrupted fixture: fixture row 2: expected 12 fields, got 2\n"
 
     @pytest.mark.parametrize("tol", ["0", "-1"])
     def test_nonpositive_tol_rejected(self, capsys, tol):

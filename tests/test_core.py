@@ -125,10 +125,28 @@ class TestHamiltonian:
         for k in range(1, n):
             assert np.array_equal(vals[ks == k], vals[ks == 2 * n - k])
         assert np.sum(res.parity) == 0  # tr U = 0
-        bare = core.diagonalize_symmetric(h, want_vectors=False)
-        assert bare.eigenvectors is None
-        assert np.array_equal(bare.eigenvalues, res.eigenvalues)
-        assert np.array_equal(bare.parity, res.parity)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_spectrum_matches_diagonalize(self, n):
+        # the representative rows of H give the levels and parities of the dense route, bit for bit
+        params = ModelParams(n_sites=n)
+        res = core.diagonalize_symmetric(core.build_hamiltonian(params))
+        levels = core.spectrum(params)
+        assert levels.eigenvectors is None
+        assert np.array_equal(levels.eigenvalues, res.eigenvalues)
+        assert np.array_equal(levels.parity, res.parity)
+
+    def test_spectrum_builds_no_dense_hamiltonian(self):
+        import tracemalloc
+
+        params = ModelParams(n_sites=10)
+        tracemalloc.start()
+        try:
+            core.spectrum(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 4**10 // 4  # a quarter of the dense H (measured 1.35 MiB)
 
     def test_diagonalize_needs_twisted_translation_symmetry(self):
         h = core.build_hamiltonian(ModelParams(n_sites=4))
@@ -149,10 +167,11 @@ class TestHamiltonian:
                 return _orig(a, *args, **kw)
 
             monkeypatch.setattr(np.linalg, name, recording)
-        h = core.build_hamiltonian(ModelParams(n_sites=10))
-        for want_vectors in (True, False):
+        params = ModelParams(n_sites=10)
+        h = core.build_hamiltonian(params)
+        for solve in (lambda: core.diagonalize_symmetric(h), lambda: core.spectrum(params)):
             widths.clear()
-            core.diagonalize_symmetric(h, want_vectors)
+            solve()
             assert 0 < len(widths) <= 11 and max(widths) <= 64
 
     def test_diagonalize_peak_memory(self):
@@ -195,6 +214,16 @@ class TestHamiltonian:
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             core.build_hamiltonian(ModelParams(n_sites=13))
+
+    def test_capacity_checked_before_orbit_table(self, monkeypatch):
+        # the orbit table is 2N x 2^N int64 (6 GiB at N = 24): a refused size must not build it
+        def refuse(n):
+            raise AssertionError(f"orbit table built at N = {n}")
+
+        monkeypatch.setattr(core, "_twisted_orbits", refuse)
+        for solve in (core.spectrum, core.joint_eigenstates):
+            with pytest.raises(CapacityError):
+                solve(ModelParams(n_sites=13))
 
     def test_diagonalize_rejects_asymmetric(self):
         with pytest.raises(ValueError):
