@@ -301,9 +301,10 @@ def joint_eigenstates(params: ModelParams):
     ascending, eigenvector matrix) with columns that are complex joint
     eigenstates.
     """
-    _check_zero_thetas(params, "joint eigenbasis")
     n = params.n_sites
-    vals, ks, vecs, partner = _sector_eigh(_representative_rows(params), complex)
+    rows = _representative_rows(params)  # checks the cap before the thetas are walked
+    _check_zero_thetas(params, "joint eigenbasis")
+    vals, ks, vecs, partner = _sector_eigh(rows, complex)
     # slots of the runs of levels within 1e-8 of each other inside one sector k <= N
     by_sector = np.lexsort((vals, ks))
     cut = (np.diff(ks[by_sector]) != 0) | (np.diff(vals[by_sector]) >= 1e-8)

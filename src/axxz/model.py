@@ -1,9 +1,11 @@
 """Shared configuration and result types for the antiperiodic XXZ toolkit.
 
 Everything downstream is specialized to anisotropy eta = i*pi/3, where
-cosh(eta) = 1/2 and the Hamiltonian is real symmetric. H and the full
-eigenvector matrices are dense 2^N x 2^N arrays (t(u) is applied to vectors
-without being formed), so exact diagonalization is capped at ED_CAP sites.
+cosh(eta) = 1/2 and the Hamiltonian is real symmetric. The levels of H come
+from its rows at the orbit representatives alone (`core.spectrum`), and t(u)
+is applied to vectors without being formed, but the full eigenvector
+matrices and the dense t(U_PROBE) of the seeded basis are 2^N x 2^N arrays,
+so every dense route is capped at ED_CAP sites.
 """
 from __future__ import annotations
 
@@ -18,8 +20,8 @@ COSH_ETA = 0.5  # cosh(i*pi/3) exactly
 
 PROFILE_CUTOFF = 40.0  # density profiles decay at least like exp(-3|lam|/2)
 
-# dense real H and real ED eigenvectors (128 MiB each at N = 12); only the joint
-# H/t basis is complex (256 MiB)
+# the complex joint H/t basis and the dense t(U_PROBE) are 256 MiB each at N = 12,
+# the real ED eigenvectors and the dense H, which only tests and benchmarks build, 128 MiB
 ED_CAP = 12
 
 # generic probe point used to split degenerate H-eigenspaces with t(u0);
@@ -78,10 +80,8 @@ class ModelParams:
     def __post_init__(self):
         if self.n_sites < 2:
             raise ValueError("need at least 2 sites")
-        thetas = self.thetas
-        if thetas is None:
-            thetas = (0.0,) * self.n_sites
-        thetas = tuple(complex(t) for t in thetas)
+        # the default is one shared 0j per site: no Python work per site before a cap is checked
+        thetas = (0j,) * self.n_sites if self.thetas is None else tuple(map(complex, self.thetas))
         if len(thetas) != self.n_sites:
             raise ValueError("thetas must have exactly n_sites entries")
         object.__setattr__(self, "thetas", thetas)

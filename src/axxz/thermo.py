@@ -85,10 +85,30 @@ def counting_inverse(x):
     return out if out.ndim else float(out)
 
 
+def _sech(a, b=0.0):
+    """(sech y, y) for y = 3(a - b)/2, finite and warning-free at every finite a and b.
+
+    The sech family of closed forms all goes through here. y is formed from
+    the halves of a and b, which cannot overflow, and clipped to |y| <= 900,
+    far past where sech y underflows to 0; below that it has the bits of
+    1.5 * (a - b). sech y is 2e/(1 + e^2) from e = exp(-|y|), which can only
+    underflow, where cosh overflows from |y| ~ 710 on.
+    """
+    half = 0.5 * np.asarray(a, dtype=float) - 0.5 * np.asarray(b, dtype=float)
+    y = 3 * np.clip(half, -300.0, 300.0)
+    e = np.exp(-np.abs(y))
+    return 2 * e / (1 + e * e), y
+
+
+def _sech_ratio(a, b=0.0):
+    """cosh y / cosh 2y = s / (2 - s^2), with s = sech y and y = 3(a - b)/2."""
+    s = _sech(a, b)[0]
+    return s / (2 - s * s)
+
+
 def rho_bulk(lam):
     """Infinite-size smooth root density (3*sqrt2/2pi) cosh(3lam/2)/cosh(3lam)."""
-    lam = np.asarray(lam, dtype=float)
-    out = (3 * SQ2 / (2 * np.pi)) * np.cosh(1.5 * lam) / np.cosh(3 * lam)
+    out = (3 * SQ2 / (2 * np.pi)) * _sech_ratio(lam)
     return out if out.ndim else float(out)
 
 
@@ -99,12 +119,9 @@ def rho_ground(lam, hole_pos: float, n) -> float:
     +-hole_pos. The holes' own delta atoms (weight -1/(3n) each) live in
     DensityProfile.holes, not here. n = inf drops all corrections.
     """
-    lam = np.asarray(lam, dtype=float)
     out = rho_bulk(lam)
     if np.isfinite(n):
-        out = out - (1 / (4 * np.pi * n)) * (
-            1 / np.cosh(1.5 * (lam - hole_pos)) + 1 / np.cosh(1.5 * (lam + hole_pos))
-        )
+        out = out - (1 / (4 * np.pi * n)) * (_sech(lam, hole_pos)[0] + _sech(lam, -hole_pos)[0])
     return out if np.ndim(out) else float(out)
 
 
@@ -121,11 +138,11 @@ def hole_delta(hole_pos: float) -> float:
     The closed form (sqrt3/4)[sech(3l/2 + i pi/4) + sech(3l/2 - i pi/4)]
     + (sqrt3/2) i tanh(3l) carries an odd imaginary piece that cancels
     against the mirror hole in every physical combination (the two holes
-    always come as +-hole_pos), so the even real part is returned.
+    always come as +-hole_pos), so the even real part is returned. The
+    sech pair is real: (sqrt6/2) cosh(3l/2)/cosh(3l), which is
+    (pi/sqrt3) rho_bulk(l).
     """
-    x = 1.5 * hole_pos
-    val = (SQ3 / 4) * (1 / np.cosh(x + 1j * np.pi / 4) + 1 / np.cosh(x - 1j * np.pi / 4))
-    return float(val.real)
+    return float((SQ6 / 2) * _sech_ratio(hole_pos))
 
 
 def _coth(z):
@@ -167,11 +184,12 @@ def ground_energy_density() -> float:
 
 
 def excitation_energy(spec: ExcitationSpec) -> float:
-    """Closed-form dispersion of one elementary excitation."""
-    a = spec.alpha
+    """Closed-form dispersion of one elementary excitation: (3 sqrt3/2) sech(3a/2)
+    for type_I, and 3 sqrt6 cosh(3a/2)/cosh(3a), which is 2 pi sqrt3 rho_bulk(a),
+    for type_II."""
     if spec.kind == "type_I":
-        return float((3 * SQ3 / 2) / np.cosh(1.5 * a))
-    return float(3 * SQ6 * np.cosh(1.5 * a) / np.cosh(3 * a))
+        return float((3 * SQ3 / 2) * _sech(spec.alpha)[0])
+    return float(3 * SQ6 * _sech_ratio(spec.alpha))
 
 
 def delta_rho(spec: ExcitationSpec, lam, n) -> float:
@@ -183,11 +201,10 @@ def delta_rho(spec: ExcitationSpec, lam, n) -> float:
     """
     if not np.isfinite(n):
         raise ValueError("density shifts are O(1/n); pass a finite n")
-    lam = np.asarray(lam, dtype=float)
     if spec.kind == "type_I":
-        out = -rho_bulk(lam - spec.alpha) / n
+        out = -(3 * SQ2 / (2 * np.pi)) * _sech_ratio(lam, spec.alpha) / n
     else:
-        out = -(3 / (2 * np.pi * n)) * (1 / np.cosh(1.5 * (lam - spec.alpha)))
+        out = -(3 / (2 * np.pi * n)) * _sech(lam, spec.alpha)[0]
     return out if np.ndim(out) else float(out)
 
 
@@ -216,15 +233,18 @@ def smatrix(process: str, alpha1: float, alpha2: float) -> ScatteringAmplitude:
 
     I_I and II_II share -(sinh[3(a1-a2)/2] - i)/(sinh[3(a1-a2)/2] + i).
     I_II uses sqrt2 * sinh[3(a2-a1)/2] in the same Cayley form; note the
-    swapped argument order in its phase.
+    swapped argument order in its phase. With c sinh y divided through by
+    cosh y, the form is -(c tanh y - i sech y)/(c tanh y + i sech y), which
+    stays finite where sinh overflows.
     """
     if process in ("I_I", "II_II"):
-        x = np.sinh(1.5 * (alpha1 - alpha2))
+        c, (s, y) = 1.0, _sech(alpha1, alpha2)
     elif process == "I_II":
-        x = SQ2 * np.sinh(1.5 * (alpha2 - alpha1))
+        c, (s, y) = SQ2, _sech(alpha2, alpha1)
     else:
         raise ValueError(f"unknown process {process!r}")
-    value = -(x - 1j) / (x + 1j)
+    x = c * np.tanh(y)
+    value = -(x - 1j * s) / (x + 1j * s)
     return ScatteringAmplitude(value=complex(value))
 
 

@@ -55,9 +55,11 @@ class TestEd:
         assert code == 2
         assert "error" in err
 
-    @pytest.mark.parametrize("argv", [["ed", "--n", "6"], ["table1"]], ids=["ed", "table1"])
+    @pytest.mark.parametrize("argv", [["ed", "--n", "6"], ["table1"], ["verify", "--n", "6"]],
+                             ids=["ed", "table1", "verify"])
     def test_no_dense_hamiltonian(self, capsys, monkeypatch, argv):
-        # the levels come from the representative rows of H (core.spectrum)
+        # the levels come from the representative rows of H (core.spectrum), and verify's
+        # H X from the joint eigenbasis
         from axxz import core
 
         def refuse(*args, **kw):
@@ -181,17 +183,18 @@ class TestVerify:
         assert "check,cubic_identity,nan,1e-06,FAIL" in out.splitlines()
 
     def test_size_cap(self, capsys, monkeypatch):
-        # only the seeded eigenbasis needs the dense t(probe); unseeded, the ED cap applies
+        # one cap, the ED cap, for both bases; checked before any column is drawn
         from axxz import core
 
-        assert run(capsys, "verify", "--n", "10")[0] == 0
-        code, _, err = run(capsys, "verify", "--n", "10", "--seed", "1")
-        assert code == 2 and "--seed" in err
+        code, out, _ = run(capsys, "verify", "--n", "10", "--seed", "1")
+        assert code == 0 and out.splitlines()[0] == "seed,1"
+        assert all(line.endswith(",ok") for line in out.splitlines()[1:])
         calls = []
         monkeypatch.setattr(cli, "apply_transfer", lambda *args: calls.append(args))
         monkeypatch.setattr(core, "apply_transfer", lambda *args: calls.append(args))
-        code, out, err = run(capsys, "verify", "--n", "13")
-        assert code == 2 and out == "" and "n <= 12" in err and not calls
+        for seed in ([], ["--seed", "1"]):
+            code, out, err = run(capsys, "verify", "--n", "13", *seed)
+            assert code == 2 and out == "" and "n <= 12" in err and not calls
 
     @pytest.mark.parametrize("flag", ["--levels", "--samples"])
     def test_zero_count_rejected(self, capsys, flag):

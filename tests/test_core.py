@@ -215,6 +215,22 @@ class TestHamiltonian:
         with pytest.raises(CapacityError):
             core.build_hamiltonian(ModelParams(n_sites=13))
 
+    def test_default_thetas_cost_no_work_per_site(self):
+        # a size far past the cap is refused by the operators, so building its
+        # parameters must not cost one complex object per site (32 MB at N = 10^6)
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            params = ModelParams(n_sites=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * 2**20  # the tuple itself is 8 MB
+        assert params.thetas == (0j,) * 10**6
+        zeros = ModelParams(n_sites=4, thetas=[0.0] * 4)
+        assert ModelParams(n_sites=4) == zeros and hash(ModelParams(n_sites=4)) == hash(zeros)
+
     def test_capacity_checked_before_orbit_table(self, monkeypatch):
         # the orbit table is 2N x 2^N int64 (6 GiB at N = 24): a refused size must not build it
         def refuse(n):

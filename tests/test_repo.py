@@ -1,7 +1,8 @@
-"""Repository-level checks: the README's library sketch runs as written, and
-scripts/source_size.py counts lines the way its docstring says."""
+"""Repository-level checks: the README's library sketch and command lines run
+as written, and scripts/source_size.py counts lines the way its docstring says."""
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,24 @@ def test_readme_library_sketch_runs():
     block = re.search(r"## Library sketch\n\n```python\n(.*?)```", readme, re.S)
     assert block is not None, "README has no Library sketch block"
     exec(compile(block.group(1), "README.md", "exec"), {})
+
+
+def test_readme_command_lines_run(capsys):
+    from axxz.cli import main
+
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Command line\n.*?```\n(.*?)```", readme, re.S)
+    assert block is not None, "README has no Command line block"
+    lines = [line for line in block.group(1).splitlines() if line.startswith("axxz ")]
+    assert len(lines) >= 5
+    for line in lines:
+        command, _, comment = line.partition("#")
+        assert main(shlex.split(command)[1:]) == 0, line
+        out = capsys.readouterr().out
+        # a comment that is a value, or "prints <value>", is the exact stdout
+        value = comment.strip().removeprefix("prints ")
+        if re.fullmatch(r"\S+", value) and re.match(r"[-+\d]", value):
+            assert out == value + "\n", line
 
 
 def test_source_size_script(tmp_path):

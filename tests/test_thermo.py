@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import solve_toeplitz
@@ -24,6 +24,7 @@ from axxz.model import ConsistencyError, ExcitationSpec, ModelParams
 SQ2, SQ3, SQ6 = math.sqrt(2), math.sqrt(3), math.sqrt(6)
 
 finite_alpha = st.floats(min_value=-3, max_value=3, allow_nan=False)
+any_finite = st.floats(allow_nan=False, allow_infinity=False)
 
 DENSITY_SOURCES = {
     "a1": lambda x: thermo.a_m(x, 1),
@@ -245,8 +246,18 @@ class TestEnergies:
             assert abs(thermo.hole_delta(-x) - thermo.hole_delta(x)) < 1e-15
 
     def test_dispersion_values_at_zero(self):
-        assert abs(thermo.excitation_energy(ExcitationSpec("type_I", 0.0)) - 1.5 * SQ3) < 1e-13
-        assert abs(thermo.excitation_energy(ExcitationSpec("type_II", 0.0)) - 3 * SQ6) < 1e-13
+        # each law carries its own constant, so the sech ratio 1 at zero gives it exactly
+        assert thermo.excitation_energy(ExcitationSpec("type_I", 0.0)) == 1.5 * SQ3
+        assert thermo.excitation_energy(ExcitationSpec("type_II", 0.0)) == 3 * SQ6
+        assert thermo.hole_delta(0.0) == SQ6 / 2
+
+    @pytest.mark.parametrize("x", [0.0, 0.4, -1.3, 3.0, 40.0])
+    def test_sech_pair_laws_are_multiples_of_rho(self, x):
+        rho = thermo.rho_bulk(x)
+        for value, factor in ((thermo.hole_delta(x), np.pi / SQ3),
+                              (thermo.excitation_energy(ExcitationSpec("type_II", x)),
+                               2 * np.pi * SQ3)):
+            assert abs(value - factor * rho) <= 1e-15 * factor * rho
 
     def test_type_two_is_a_delta_pair(self):
         for a in np.linspace(-2, 2, 9):
@@ -323,3 +334,23 @@ def test_kernel_even_property(x):
         assert thermo.a_m(x, m) > 0
         assert abs(thermo.a_m(x, m) - thermo.a_m(-x, m)) < 1e-14
     assert abs(thermo.a_m(x, 4) + thermo.a_m(x, 2)) < 1e-14
+
+
+BIG = np.finfo(float).max
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_finite, any_finite, st.integers(min_value=2, max_value=10**6))
+@example(BIG, -BIG, 2)
+@example(-BIG, BIG, 3)
+@example(1000.0, -1000.0, 4)
+def test_closed_forms_finite_at_every_rapidity(x, a, n):
+    # cosh and sinh overflow past |y| ~ 710; a RuntimeWarning is an error under pytest
+    values = [thermo.rho_bulk(x), thermo.rho_ground(x, a, n), thermo.hole_delta(x)]
+    for kind in ("type_I", "type_II"):
+        values += [thermo.excitation_energy(ExcitationSpec(kind, x)),
+                   thermo.delta_rho(ExcitationSpec(kind, a), x, n)]
+    assert np.all(np.isfinite(values))
+    for proc in ("I_I", "II_II", "I_II"):
+        s = thermo.smatrix(proc, x, a).value
+        assert np.isfinite(s) and abs(abs(s) - 1) <= 1e-15
