@@ -97,6 +97,8 @@ def _compute(cfg: argparse.Namespace, dest: str, table: dict):
 
 
 def run_ed(cfg: argparse.Namespace):
+    if cfg.n > ED_CAP:  # before ModelParams builds its N thetas
+        raise ValueError(f"ed is limited to n <= {ED_CAP} (the dense 2^N x 2^N sectors)")
     res = spectrum(ModelParams(n_sites=cfg.n))
     levels = [{"level": i + 1, "energy": float(e), "parity": p}
               for i, (e, p) in enumerate(zip(res.eigenvalues, res.parity.tolist()))]

@@ -32,6 +32,7 @@ SQ6 = math.sqrt(6.0)
 QUAD_CUTOFF = 25.0  # all integrands here decay at least like exp(-3|lam|/2)
 
 E_GROUND_DENSITY = (3 - 3 * SQ3) / 2
+_RHO_0 = 3 * SQ2 / (2 * np.pi)  # rho_bulk(0)
 
 
 def theta_m(lam, m: int):
@@ -85,30 +86,34 @@ def counting_inverse(x):
     return out if out.ndim else float(out)
 
 
-def _sech(a, b=0.0):
-    """(sech y, y) for y = 3(a - b)/2, finite and warning-free at every finite a and b.
-
-    The sech family of closed forms all goes through here. y is formed from
-    the halves of a and b, which cannot overflow, and clipped to |y| <= 900,
-    far past where sech y underflows to 0; below that it has the bits of
-    1.5 * (a - b). sech y is 2e/(1 + e^2) from e = exp(-|y|), which can only
-    underflow, where cosh overflows from |y| ~ 710 on.
-    """
+def _y(a, b=0.0):
+    """y = 3(a - b)/2, formed from the halves of a and b, which cannot overflow, and
+    clipped to |y| <= 900, far past where sech y underflows to 0; below that it has
+    the bits of 1.5 * (a - b)."""
     half = 0.5 * np.asarray(a, dtype=float) - 0.5 * np.asarray(b, dtype=float)
-    y = 3 * np.clip(half, -300.0, 300.0)
-    e = np.exp(-np.abs(y))
-    return 2 * e / (1 + e * e), y
+    return 3 * np.clip(half, -300.0, 300.0)
+
+
+def _sech(a, b=0.0):
+    """sech y for y = 3(a - b)/2, finite and warning-free at every finite a and b.
+
+    The sech family of closed forms all goes through here. sech y is
+    2e/(1 + e^2) from e = exp(-|y|), which can only underflow, where cosh
+    overflows from |y| ~ 710 on.
+    """
+    e = np.exp(-np.abs(_y(a, b)))
+    return 2 * e / (1 + e * e)
 
 
 def _sech_ratio(a, b=0.0):
     """cosh y / cosh 2y = s / (2 - s^2), with s = sech y and y = 3(a - b)/2."""
-    s = _sech(a, b)[0]
+    s = _sech(a, b)
     return s / (2 - s * s)
 
 
 def rho_bulk(lam):
     """Infinite-size smooth root density (3*sqrt2/2pi) cosh(3lam/2)/cosh(3lam)."""
-    out = (3 * SQ2 / (2 * np.pi)) * _sech_ratio(lam)
+    out = _RHO_0 * _sech_ratio(lam)
     return out if out.ndim else float(out)
 
 
@@ -121,7 +126,7 @@ def rho_ground(lam, hole_pos: float, n) -> float:
     """
     out = rho_bulk(lam)
     if np.isfinite(n):
-        out = out - (1 / (4 * np.pi * n)) * (_sech(lam, hole_pos)[0] + _sech(lam, -hole_pos)[0])
+        out = out - (1 / (4 * np.pi * n)) * (_sech(lam, hole_pos) + _sech(lam, -hole_pos))
     return out if np.ndim(out) else float(out)
 
 
@@ -188,7 +193,7 @@ def excitation_energy(spec: ExcitationSpec) -> float:
     for type_I, and 3 sqrt6 cosh(3a/2)/cosh(3a), which is 2 pi sqrt3 rho_bulk(a),
     for type_II."""
     if spec.kind == "type_I":
-        return float((3 * SQ3 / 2) * _sech(spec.alpha)[0])
+        return float((3 * SQ3 / 2) * _sech(spec.alpha))
     return float(3 * SQ6 * _sech_ratio(spec.alpha))
 
 
@@ -202,9 +207,9 @@ def delta_rho(spec: ExcitationSpec, lam, n) -> float:
     if not np.isfinite(n):
         raise ValueError("density shifts are O(1/n); pass a finite n")
     if spec.kind == "type_I":
-        out = -(3 * SQ2 / (2 * np.pi)) * _sech_ratio(lam, spec.alpha) / n
+        out = -_RHO_0 * _sech_ratio(lam, spec.alpha) / n
     else:
-        out = -(3 / (2 * np.pi * n)) * _sech(lam, spec.alpha)[0]
+        out = -(3 / (2 * np.pi * n)) * _sech(lam, spec.alpha)
     return out if np.ndim(out) else float(out)
 
 
@@ -237,13 +242,10 @@ def smatrix(process: str, alpha1: float, alpha2: float) -> ScatteringAmplitude:
     cosh y, the form is -(c tanh y - i sech y)/(c tanh y + i sech y), which
     stays finite where sinh overflows.
     """
-    if process in ("I_I", "II_II"):
-        c, (s, y) = 1.0, _sech(alpha1, alpha2)
-    elif process == "I_II":
-        c, (s, y) = SQ2, _sech(alpha2, alpha1)
-    else:
+    if process not in ("I_I", "II_II", "I_II"):
         raise ValueError(f"unknown process {process!r}")
-    x = c * np.tanh(y)
+    c, a, b = (SQ2, alpha2, alpha1) if process == "I_II" else (1.0, alpha1, alpha2)
+    x, s = c * np.tanh(_y(a, b)), _sech(a, b)
     value = -(x - 1j * s) / (x + 1j * s)
     return ScatteringAmplitude(value=complex(value))
 

@@ -50,10 +50,12 @@ class TestEd:
             assert rec["energy"] == float(row[1])
             assert rec["parity"] == int(row[2])
 
-    def test_capacity_exit_code(self, capsys):
-        code, _, err = run(capsys, "ed", "--n", "20")
-        assert code == 2
-        assert "error" in err
+    def test_capacity_exit_code(self, capsys, monkeypatch):
+        # refused before ModelParams builds its N thetas, however large N is
+        monkeypatch.setattr(cli, "ModelParams", lambda *args, **kw: pytest.fail("built params"))
+        for n in ("20", "1000000000"):
+            code, out, err = run(capsys, "ed", "--n", n)
+            assert code == 2 and out == "" and "n <= 12" in err
 
     @pytest.mark.parametrize("argv", [["ed", "--n", "6"], ["table1"], ["verify", "--n", "6"]],
                              ids=["ed", "table1", "verify"])
@@ -186,6 +188,7 @@ class TestVerify:
         # one cap, the ED cap, for both bases; checked before any column is drawn
         from axxz import core
 
+        assert run(capsys, "verify", "--n", "10")[0] == 0
         code, out, _ = run(capsys, "verify", "--n", "10", "--seed", "1")
         assert code == 0 and out.splitlines()[0] == "seed,1"
         assert all(line.endswith(",ok") for line in out.splitlines()[1:])
