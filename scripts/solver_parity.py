@@ -8,9 +8,11 @@ N, about 2 s on 2 CPUs. Each gets one JSON line: the outcome, the exception
 class and message of a failed solve, the iterations, energy and residual,
 the roots as hex floats and the number of bae_residual calls. Then one
 line per N = 2..12, labeled "ed": the levels of core.spectrum as hex
-floats, the parity of each level and, for N <= 10, the worst relative
-t(U_PROBE) residual of the columns of core.joint_eigenstates; about 1 s
-more.
+floats, the parity of each level, for N <= 10 the worst relative
+t(U_PROBE) residual of the columns of core.joint_eigenstates and, for
+N = 4..8, the lambda0 and zeros that tqverify.spectral_function_from_state
+extracts from a few joint levels and a few levels of the transfer
+eigenbasis at seeded thetas, as hex floats; about 1 s more.
 --nmax keeps the inputs with N <= nmax.
 
     python scripts/solver_parity.py --out before.jsonl
@@ -28,13 +30,15 @@ import sys
 
 import numpy as np
 
-from axxz import bae, core
+from axxz import bae, core, tqverify
 from axxz.model import ED_CAP, U_PROBE, ModelParams
 
 _TYPE_ONE = ((32, 0), (32, 5), (64, 0), (64, 17))
 _GROUND = (32, 64, 128, 256, 1024)
 _JOINT_MAX = 10  # largest N whose joint basis is checked against t(U_PROBE)
 _SLAB = 64  # columns per apply_transfer call in that check
+_SPECTRAL_N = range(4, 9)  # chain lengths whose sampled eigenvalues are recorded
+_SPECTRAL_LEVELS = 5  # levels sampled per basis, spread over the columns
 
 
 def labelings(nmax):
@@ -73,8 +77,7 @@ def records(nmax):
             else:
                 rec.update(outcome="converged", iterations=zps.iterations,
                            energy=zps.energy, residual=zps.residual,
-                           roots=[[float(z.real).hex(), float(z.imag).hex()]
-                                  for z in zps.zeros])
+                           roots=[_hex(z) for z in zps.zeros])
             rec["residual_calls"] = calls
             yield rec
     finally:
@@ -83,7 +86,8 @@ def records(nmax):
 
 def ed_records(nmax):
     """One record per N = 2..min(nmax, ED_CAP): the ED levels and parities, and
-    for N <= _JOINT_MAX the worst |t v - lambda v| / |t v| over the joint basis."""
+    for N <= _JOINT_MAX the worst |t v - lambda v| / |t v| over the joint basis and,
+    for N in _SPECTRAL_N, the sampled eigenvalues of a few joint and seeded levels."""
     for n in range(2, min(nmax, ED_CAP) + 1):
         params = ModelParams(n_sites=n)
         res = core.spectrum(params)
@@ -99,7 +103,25 @@ def ed_records(nmax):
                 worst = max(worst, float(np.max(np.linalg.norm(tv - v * lam, axis=0)
                                                 / np.linalg.norm(tv, axis=0))))
             rec["t_residual"] = worst
+            if n in _SPECTRAL_N:
+                seeded = ModelParams(n_sites=n,
+                                     thetas=np.random.default_rng(n).uniform(-0.1, 0.1, n))
+                rec["spectral"] = (_spectral(params, vecs, "joint") + _spectral(
+                    seeded, core.transfer_eigenbasis(seeded)[1], "seeded"))
         yield rec
+
+
+def _hex(z) -> list:
+    return [float(z.real).hex(), float(z.imag).hex()]
+
+
+def _spectral(params, vecs, basis) -> list:
+    """[basis, column, lambda0, zeros] of a few columns, the complex numbers as hex pairs."""
+    out = []
+    for i in np.linspace(0, vecs.shape[1] - 1, _SPECTRAL_LEVELS).astype(int):
+        f = tqverify.spectral_function_from_state(vecs[:, i], params)
+        out.append([basis, int(i), _hex(f.lambda0), [_hex(z) for z in f.zeros]])
+    return out
 
 
 def _load(path):
@@ -130,6 +152,10 @@ def compare(path_a, path_b) -> list:
                 worst = int(np.argmax(moved))
                 diffs.append(f"{where}: {sum(d > 0 for d in moved)} of {len(moved)} energies "
                              f"moved, the largest by {moved[worst]:.3g} (level {worst + 1})")
+            elif field == "spectral" and va and vb and len(va) == len(vb):
+                moved = [f"{x[0]} {x[1]}" for x, y in zip(va, vb) if x != y]
+                diffs.append(f"{where}: the sampled eigenvalue differs at {len(moved)} of "
+                             f"{len(va)} levels, the first at {moved[0]}")
             elif field == "parity" and va and vb and len(va) == len(vb):
                 flips = [i + 1 for i, (x, y) in enumerate(zip(va, vb)) if x != y]
                 diffs.append(f"{where}: parity differs at {len(flips)} of {len(va)} levels, "

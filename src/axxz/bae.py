@@ -40,6 +40,7 @@ from .model import (
 _POLE_TOL = 1e-14
 _TOL = 1e-12  # default Newton stop on the residual 2-norm
 _MAX_ITER = 200  # Newton iterations before NonConvergenceError
+_STALL = 12  # zero-point Newton iterations without a 10x fall of the best residual
 _DEDUPE_TOL = 1e-8  # two converged roots closer than this are a collision
 _BLOCK = 1 << 14  # entries per row block of the residual, Jacobian and collision check
 _SQ3 = np.sqrt(3.0)
@@ -138,18 +139,28 @@ def solve_newton(initial, params: ModelParams, tol: float = _TOL) -> ZeroPointSe
     2-norm is below tol or its max-norm is at most 32*eps*N: ground seeds
     already sit at 3.5e-13, 9.1e-13 and 1.8e-12 (6-8 eps*N) at N = 256, 512
     and 1024, out of reach of a fixed tol on the 2-norm of N-1 entries.
+    It gives up early, with NonConvergenceError naming the residual and the
+    closest pair of roots, once the best residual has not fallen 10x in
+    _STALL iterations: such a path wanders, and ends in a collision, a
+    non-physical energy or the iteration cap.
     """
     if not 0 < tol < np.inf:  # a NaN fails both comparisons
         raise ValueError(f"tol must be positive and finite, got {tol}")
     floor = 32 * np.finfo(float).eps * params.n_sites
-    z, nr, it = _damped_newton(
+    z, nr, it, ok = _damped_newton(
         canonicalize(_zeros_of(initial)),
         lambda z: bae_residual(z, params),
         lambda z: bae_jacobian(z, params),
         lambda r, nr: nr < tol or np.max(np.abs(r)) <= floor,
-        _MAX_ITER, 40,
+        _MAX_ITER, 40, _STALL,
     )
-    if it is None:
+    if not ok and it < _MAX_ITER:
+        j, k, gap = _closest_pair(z)
+        raise NonConvergenceError(
+            f"stalled at residual {nr:.3e}: no 10x fall in {_STALL} iterations "
+            f"(closest roots {j} and {k}, {gap:.3e} apart)", float(nr)
+        )
+    if not ok:
         raise NonConvergenceError(
             f"no convergence in {_MAX_ITER} iterations (residual {nr:.3e})", float(nr)
         )
@@ -162,17 +173,21 @@ def solve_newton(initial, params: ModelParams, tol: float = _TOL) -> ZeroPointSe
     )
 
 
-def _damped_newton(x, residual, jacobian, converged, max_iter: int, halvings: int):
+def _damped_newton(x, residual, jacobian, converged, max_iter: int, halvings: int,
+                   stall: int | None = None):
     """Damped Newton from x on residual(x) = 0; the loop of both solves.
 
     Stops at the first iterate where converged(r, |r|) holds, or else halves
     the Newton step up to `halvings` times until |r| drops. An accepted
     trial's residual is reused; after a refused search it is recomputed at
-    the point taken. Returns (x, |r|, it), or (x, |r|, None) after max_iter
-    steps (x unchecked, |r| that of the point before). A non-finite residual
-    or a singular Jacobian raises NonConvergenceError.
+    the point taken. Returns (x, |r|, it, converged). It gives up after
+    max_iter steps (x unchecked, |r| that of the point before) or, with a
+    `stall`, at the first iterate whose best |r| so far is not 10x below the
+    best of `stall` iterations before. A non-finite residual or a singular
+    Jacobian raises NonConvergenceError.
     """
     r = None  # residual at x, carried over from an accepted line-search trial
+    best = []  # best |r| up to each iteration
     for it in range(max_iter):
         if r is None:
             r = residual(x)
@@ -182,7 +197,10 @@ def _damped_newton(x, residual, jacobian, converged, max_iter: int, halvings: in
                 f"residual overflowed after {it} iterations; seed is unusable", float("inf")
             )
         if converged(r, norm):
-            return x, norm, it
+            return x, norm, it, True
+        best.append(min(norm, best[-1]) if best else norm)
+        if stall and it >= stall and best[-1] * 10 > best[-1 - stall]:
+            return x, norm, it, False
         try:
             step = np.linalg.solve(jacobian(x), -r)
         except np.linalg.LinAlgError as exc:
@@ -198,7 +216,21 @@ def _damped_newton(x, residual, jacobian, converged, max_iter: int, halvings: in
         else:  # every halving refused: the step taken below was never tried
             r = None
         x = x + scale * step
-    return x, norm, None
+    return x, norm, max_iter, False
+
+
+def _closest_pair(z):
+    """(j, k, |z_j - z_k|) for the closest pair j < k of canonical roots, row-blocked."""
+    zc = canonicalize(z)
+    step = max(1, _BLOCK // max(len(zc), 1))
+    best = (0, 0, np.inf)
+    for lo in range(0, len(zc), step):
+        gap = np.abs(zc[lo:lo + step, None] - zc)
+        gap[np.tril_indices_from(gap, lo)] = np.inf
+        j, k = divmod(int(np.argmin(gap)), len(zc))
+        if gap[j, k] < best[2]:
+            best = (lo + j, k, float(gap[j, k]))
+    return best
 
 
 def _check_collisions(z, tol, residual):

@@ -155,23 +155,46 @@ def build_transfer_matrix(u: complex, params: ModelParams) -> np.ndarray:
 def apply_transfer(u, params: ModelParams, vectors) -> np.ndarray:
     """t(u) @ vectors for every u of a grid, shape (len(u), 2^N, K).
 
-    R_0j(u - theta_j) is applied site by site, j = 1..N, to an array indexed
-    (u, start aux, current aux, spins and column); the sigma^x-twisted trace
-    then pairs opposite start and end aux states.
+    The sigma^x-twisted trace pairs opposite start and end aux states, and
+    the six-vertex R is invariant under a full spin flip, so
+    t(u) = B(u) + U B(u) U with B(u) the start-0, end-1 element of the
+    monodromy. B is applied to the columns of [V, UV] (`_apply_b`); a column
+    with V[::-1] = +-V gets no mirrored copy, since U B U V = +-U B V there,
+    and costs half.
     """
     u = np.atleast_1d(np.asarray(u, dtype=complex))
     v = np.asarray(vectors, dtype=complex).reshape(2**params.n_sites, -1)
-    x = np.zeros((len(u), 2, 2, v.size), dtype=complex)
-    x[:, 0, 0] = x[:, 1, 1] = v.ravel()
-    for j, th in enumerate(params.theta_array):
-        bp, bm = (w[:, None, None, None] for w in _r_weights(u - th))
-        y = x.reshape(len(u), 2, 2, 2**j, 2, -1)  # (u, start, aux, left, site j, right)
-        x = np.empty_like(y)
-        x[:, :, 0, :, 0] = bp * y[:, :, 0, :, 0]
-        x[:, :, 1, :, 1] = bp * y[:, :, 1, :, 1]
-        x[:, :, 0, :, 1] = bm * y[:, :, 0, :, 1] + y[:, :, 1, :, 0]
-        x[:, :, 1, :, 0] = bm * y[:, :, 1, :, 0] + y[:, :, 0, :, 1]
-    return (x[:, 0, 1] + x[:, 1, 0]).reshape(len(u), len(v), -1)
+    flip = v[::-1]
+    even = (flip == v).all(axis=0)
+    odd = (flip == -v).all(axis=0) & ~even  # a zero column counts as even
+    mixed = np.flatnonzero(~(even | odd))
+    b = _apply_b(u, params, np.hstack([v, flip[:, mixed]]))
+    # column i of U B U V is the reversal of column src[i] of b, negated where V is U-odd
+    src = np.arange(v.shape[1])
+    src[mixed] = v.shape[1] + np.arange(len(mixed))
+    mirror = b[:, ::-1, src]
+    np.negative(mirror, out=mirror, where=odd)
+    return b[..., :v.shape[1]] + mirror
+
+
+def _apply_b(u, params: ModelParams, v) -> np.ndarray:
+    """B(u) @ v, shape (len(u), 2^N, K): R_0j(u - theta_j) applied site by site,
+    j = 1..N, to an array indexed (u, aux, spins and column) from aux 0, keeping
+    the aux-1 end. Each step is one product with the R weights, b+ where the
+    aux and site spins agree and b- where they differ, and the two hops; the
+    weights are taken once per distinct theta."""
+    thetas, inverse = params.theta_groups
+    bp, bm = _r_weights(u[:, None] - thetas)
+    # w[g, u, aux, 0, site, 0], broadcast over the spins left and right of the site
+    w = np.array([[bp, bm], [bm, bp]]).transpose(3, 2, 0, 1)[:, :, :, None, :, None]
+    x = np.zeros((len(u), 2, v.size), dtype=complex)
+    x[:, 0] = v.ravel()
+    for j, g in enumerate(inverse):
+        y = x.reshape(len(u), 2, 2**j, 2, -1)  # (u, aux, left, site j, right)
+        x = w[g] * y
+        x[:, 0, :, 1] += y[:, 1, :, 0]
+        x[:, 1, :, 0] += y[:, 0, :, 1]
+    return x[:, 1].reshape(len(u), len(v), -1)
 
 
 def _twist(i, n: int):

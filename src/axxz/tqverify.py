@@ -14,6 +14,8 @@ from zero sets, and verifies the identities numerically.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .bae import _zeros_of, canonicalize
@@ -171,13 +173,17 @@ def verify_bilinear(f: SpectralFunction, params: ModelParams) -> dict:
     return {"residuals": tuple(resid.tolist()), "max_residual": float(np.max(resid))}
 
 
+@functools.lru_cache(maxsize=16)
 def _draw_samples(count: int) -> np.ndarray:
     """Generic complex points, rejecting the lines Im u = k*pi/6 where the
     cubic's individual terms can degenerate. About 15% of the candidates are
-    rejected; 2 count + 16 of them hold count points for every count to 10^6."""
+    rejected; 2 count + 16 of them hold count points for every count to 10^6.
+    Drawn once per count and returned read-only, as every call shares them."""
     draws = np.random.default_rng(71).uniform(-1, 1, (2 * count + 16, 2))
     near = np.abs(draws[:, 1, None] - np.pi / 6 * np.arange(-6, 7)).min(axis=1) < 0.05
-    return (draws[:, 0] + 1j * draws[:, 1])[~near][:count]
+    pts = (draws[:, 0] + 1j * draws[:, 1])[~near][:count]
+    pts.flags.writeable = False
+    return pts
 
 
 def verify_cubic(f: SpectralFunction, params: ModelParams, samples=20) -> dict:

@@ -359,6 +359,51 @@ class TestNewton:
         assert not np.array_equal(calls[41], calls[40])
         assert not np.array_equal(calls[41], calls[0])
 
+    def test_stall_stops_wandering_newton(self, monkeypatch):
+        # N = 9 type_II position 4 wandered to the 200-iteration cap: 7776 residual calls
+        params = ModelParams(n_sites=9)
+        seed = bae.seed_from_quantum_numbers(bae.type_two_numbers(9, 4), params)
+        calls = self._record_residual_calls(monkeypatch, bae.bae_residual)
+        with pytest.raises(NonConvergenceError) as exc:
+            bae.solve_newton(seed, params)
+        assert not isinstance(exc.value, RootCollisionError)
+        assert len(calls) <= 500
+        j, k, gap = bae._closest_pair(calls[-1])
+        assert str(exc.value) == (
+            f"stalled at residual {exc.value.residual:.3e}: no 10x fall in 12 iterations "
+            f"(closest roots {j} and {k}, {gap:.3e} apart)")
+        assert exc.value.residual == np.linalg.norm(bae.bae_residual(calls[-1], params))
+
+    def test_stall_needs_twelve_flat_iterations(self, monkeypatch, params6):
+        # a residual stuck at one norm: the best of iteration 12 is not 10x below that
+        # of iteration 0, so the solve stops there, after 12 line searches of 40 trials
+        zps, _ = ground_solution(6)
+        calls = self._record_residual_calls(monkeypatch, lambda z, params: np.ones(len(z)))
+        with pytest.raises(NonConvergenceError, match="^stalled at residual 2.236e"):
+            bae.solve_newton(zps.zeros + 1e-3, params6)
+        assert len(calls) == 1 + 12 * 41
+
+    @pytest.mark.parametrize("fall, stalls", [(9.0, True), (11.0, False)])
+    def test_stall_is_a_10x_fall_over_12_iterations(self, monkeypatch, params6, fall, stalls):
+        # a residual norm that falls by fall^(1/12) per call: the first trial of every
+        # line search is taken, and 12 iterations take the norm down by `fall`
+        zps, _ = ground_solution(6)
+        calls = self._record_residual_calls(
+            monkeypatch, lambda z, params: np.full(len(z), fall ** (-len(calls) / 12)))
+        monkeypatch.setattr(bae, "_MAX_ITER", 30)
+        with pytest.raises(NonConvergenceError) as exc:
+            bae.solve_newton(zps.zeros + 1e-3, params6)
+        assert str(exc.value).startswith("stalled" if stalls else "no convergence in 30")
+        assert len(calls) == (13 if stalls else 31)
+
+    @pytest.mark.parametrize("block", [2, 3, 7, 1 << 14])
+    def test_closest_pair_across_blocks(self, monkeypatch, block):
+        z = np.array([0.5, 1.0, 0.3, 1.0 + 1e-3, 0.3 + 2e-4j, 2.0, 2.1, 0.5 + 3e-4])
+        monkeypatch.setattr(bae, "_BLOCK", block * len(z))  # `block` rows a block
+        j, k, gap = bae._closest_pair(z)
+        zc = bae.canonicalize(z)
+        assert (j, k) == (2, 4) and gap == abs(zc[2] - zc[4])
+
     def test_collision_names_first_pair(self):
         z = np.array([0.5, 1.0, 0.3, 1.0 + 1e-9, 0.3 + 2e-9j, 2.0, 2.0])
         first = next((j, k) for j in range(len(z)) for k in range(j + 1, len(z))

@@ -44,6 +44,34 @@ def rel(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(a), np.linalg.norm(b), 1e-300)
 
 
+def two_start_transfer(u, params, vectors):
+    """t(u) @ vectors from both auxiliary start states, shape (len(u), 2^N, K).
+
+    R_0j(u - theta_j) is applied site by site, j = 1..N, to an array indexed
+    (u, start aux, current aux, spins and column); the sigma^x-twisted trace
+    then pairs opposite start and end aux states. The oracle for the
+    one-start action of core.apply_transfer, which must match it bit for bit.
+    """
+    u = np.atleast_1d(np.asarray(u, dtype=complex))
+    v = np.asarray(vectors, dtype=complex).reshape(2**params.n_sites, -1)
+    x = np.zeros((len(u), 2, 2, v.size), dtype=complex)
+    x[:, 0, 0] = x[:, 1, 1] = v.ravel()
+    for j, th in enumerate(params.theta_array):
+        bp, bm = (w[:, None, None, None] for w in core._r_weights(u - th))
+        y = x.reshape(len(u), 2, 2, 2**j, 2, -1)  # (u, start, aux, left, site j, right)
+        x = np.empty_like(y)
+        x[:, :, 0, :, 0] = bp * y[:, :, 0, :, 0]
+        x[:, :, 1, :, 1] = bp * y[:, :, 1, :, 1]
+        x[:, :, 0, :, 1] = bm * y[:, :, 0, :, 1] + y[:, :, 1, :, 0]
+        x[:, :, 1, :, 0] = bm * y[:, :, 1, :, 0] + y[:, :, 0, :, 1]
+    return (x[:, 0, 1] + x[:, 1, 0]).reshape(len(u), len(v), -1)
+
+
+def bits(a):
+    """The IEEE bit patterns of a complex array, so -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
 def kron_hamiltonian(params):
     """The defining H, with Paulis lifted by Kronecker products (site 1 leftmost)."""
     n, ch = params.n_sites, np.cosh(ETA)
@@ -356,6 +384,69 @@ class TestApplyTransfer:
             t = core.build_transfer_matrix(u, params)
             ref = core.apply_transfer(u, params, np.eye(2**n))[0]
             assert np.max(np.abs(t - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("thetas", ["zero", "random", "repeated"])
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_bit_identical_to_two_start_oracle(self, n, thetas):
+        # U-even, U-odd and general columns, interleaved, on a grid of u
+        rng = np.random.default_rng(900 + n)
+        th = {"zero": None, "random": tuple(rng.uniform(-0.1, 0.1, n)),
+              "repeated": tuple(rng.choice([0.0, 0.05, -0.07], n))}[thetas]
+        params = ModelParams(n_sites=n, thetas=th)
+        w = rng.normal(size=(2**n, 6)) + 1j * rng.normal(size=(2**n, 6))
+        vecs = np.column_stack([w[:, 0] + w[::-1, 0], w[:, 1], w[:, 2] - w[::-1, 2],
+                                w[:, 3] - w[::-1, 3], w[:, 4], w[:, 5] + w[::-1, 5]])
+        us = np.r_[U_PROBE, 0.0, 2j * np.pi * np.arange(4 * n) / (4 * n), rng.normal(size=3)]
+        for k in (1, 3, 6):
+            got = core.apply_transfer(us, params, vecs[:, :k])
+            assert got.shape == (len(us), 2**n, k)
+            assert np.array_equal(bits(got), bits(two_start_transfer(us, params, vecs[:, :k])))
+
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_eigenbasis_columns_bit_identical_to_oracle(self, n):
+        # basis columns carry exact zeros and parity from how they are built
+        rng = np.random.default_rng(n)
+        us = np.r_[U_PROBE, 2j * np.pi * np.arange(4 * n) / (4 * n)]
+        for params, basis in (
+            (ModelParams(n_sites=n), core.joint_eigenstates),
+            (ModelParams(n_sites=n, thetas=tuple(rng.uniform(-0.1, 0.1, n))),
+             core.transfer_eigenbasis),
+        ):
+            vecs = basis(params)[1]
+            for i in range(0, 2**n, 3):
+                assert np.array_equal(bits(core.apply_transfer(us, params, vecs[:, i])),
+                                      bits(two_start_transfer(us, params, vecs[:, i])))
+
+    @staticmethod
+    def _record_widths(monkeypatch):
+        """The column count of every B(u) propagation, recorded into the returned list."""
+        widths = []
+        real = core._apply_b
+
+        def recording(u, params, v):
+            widths.append(v.shape[1])
+            return real(u, params, v)
+
+        monkeypatch.setattr(core, "_apply_b", recording)
+        return widths
+
+    def test_parity_column_propagated_once(self, monkeypatch, params6):
+        widths = self._record_widths(monkeypatch)
+        w = np.random.default_rng(3).normal(size=(64, 3))
+        even, odd, general = w[:, 0] + w[::-1, 0], w[:, 1] - w[::-1, 1], w[:, 2]
+        for cols, width in (([even], 1), ([odd], 1), ([general], 2),
+                            ([even, general, odd], 4)):
+            widths.clear()
+            core.apply_transfer([0.1, U_PROBE], params6, np.column_stack(cols))
+            assert widths == [width]
+
+    def test_eigenbasis_columns_cost_half(self, monkeypatch):
+        # every transfer_eigenbasis column is a U eigenvector, exactly
+        params = ModelParams(n_sites=6, thetas=tuple(np.linspace(-0.1, 0.1, 6)))
+        vecs = core.transfer_eigenbasis(params)[1]
+        widths = self._record_widths(monkeypatch)
+        core.apply_transfer(U_PROBE, params, vecs)
+        assert widths == [64]
 
     def test_vector_input_keeps_a_column_axis(self, params6, joint6):
         _, vecs = joint6

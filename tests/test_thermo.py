@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -354,3 +355,48 @@ def test_closed_forms_finite_at_every_rapidity(x, a, n):
     for proc in ("I_I", "II_II", "I_II"):
         s = thermo.smatrix(proc, x, a).value
         assert np.isfinite(s) and abs(abs(s) - 1) <= 1e-15
+
+
+def _plain_kernels(x, m):
+    """a_m and a_m_fourier in their plain cosh and sinh forms, overflow allowed, each
+    with whether its cosh or sinh stayed finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        c, s = np.cosh(2 * x), np.sinh(np.pi * x / 2)
+        a = (1 / np.pi) * np.sin(m * thermo.GAMMA) / (c - np.cos(m * thermo.GAMMA))
+        fourier = np.sinh(np.pi * x / 2 - m / 6.0 * np.pi * x) / s
+    return a, bool(np.isfinite(c)), fourier, bool(np.isfinite(s))
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_finite)
+@example(400.0)
+@example(500.0)
+@example(BIG)
+@example(-BIG)
+@example(452.30298031293574)  # the largest w at which sinh(pi w / 2) is finite
+@example(355.23793003697195)  # the largest lam at which cosh(2 lam) is finite
+def test_kernels_finite_at_every_argument(x):
+    # a_m(400, 1) and a_m_fourier(500, 1) overflowed in cosh and sinh; where the
+    # plain forms do not overflow, the kernels keep their bits
+    for m in (1, 2, 4):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # any warning, not only a RuntimeWarning
+            a, fourier = thermo.a_m(x, m), thermo.a_m_fourier(x, m)
+        assert np.isfinite(a) and np.isfinite(fourier)
+        plain_a, cosh_finite, plain_fourier, sinh_finite = _plain_kernels(x, m)
+        if cosh_finite:
+            assert a == plain_a
+        if sinh_finite and abs(x) >= 1e-12:  # below, the removable point 1 - m/3
+            assert fourier == plain_fourier
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_fourier_tail_continues_the_ratio(m):
+    # the two floats either side of the overflow of sinh(pi w / 2)
+    inside = 452.30298031293574
+    outside = np.nextafter(inside, np.inf)
+    ratio = thermo.a_m_fourier(inside, m)
+    tail = thermo.a_m_fourier(outside, m)
+    assert not _plain_kernels(outside, m)[3]
+    assert abs(tail - ratio) <= 1e-12 * abs(ratio)
+    assert thermo.a_m_fourier(-outside, m) == tail

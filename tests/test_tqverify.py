@@ -290,6 +290,16 @@ class TestAgainstLoops:
         for count in range(1, 201):
             assert np.array_equal(tqverify._draw_samples(count), _draw_samples_loop(count))
 
+    def test_draw_samples_drawn_once_and_read_only(self, monkeypatch):
+        tqverify._draw_samples.cache_clear()
+        seeds = []
+        rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: seeds.append(seed) or rng(seed))
+        first = tqverify._draw_samples(20)
+        assert tqverify._draw_samples(20) is first and seeds == [71]
+        with pytest.raises(ValueError, match="read-only"):
+            first[0] = 0.0
+
     def test_cubic_cost_independent_of_sample_count(self, params6, joint6, monkeypatch):
         f = tqverify.spectral_function_from_state(joint6[1][:, 2], params6)
         calls = []
