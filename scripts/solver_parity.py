@@ -9,10 +9,12 @@ class and message of a failed solve, the iterations, energy and residual,
 the roots as hex floats and the number of bae_residual calls. Then one
 line per N = 2..12, labeled "ed": the levels of core.spectrum as hex
 floats, the parity of each level, for N <= 10 the worst relative
-t(U_PROBE) residual of the columns of core.joint_eigenstates and, for
-N = 4..8, the lambda0 and zeros that tqverify.spectral_function_from_state
-extracts from a few joint levels and a few levels of the transfer
-eigenbasis at seeded thetas, as hex floats; about 1 s more.
+t(U_PROBE) residual of the columns of core.joint_eigenstates, and the
+same residual and the orthonormality defect max |V^H V - 1| of
+core.transfer_eigenbasis at seeded thetas, and, for N = 4..8, the lambda0
+and zeros that tqverify.spectral_function_from_state extracts from a few
+joint levels and a few levels of the transfer eigenbasis, as hex floats;
+about 2 s more.
 --nmax keeps the inputs with N <= nmax.
 
     python scripts/solver_parity.py --out before.jsonl
@@ -86,8 +88,9 @@ def records(nmax):
 
 def ed_records(nmax):
     """One record per N = 2..min(nmax, ED_CAP): the ED levels and parities, and
-    for N <= _JOINT_MAX the worst |t v - lambda v| / |t v| over the joint basis and,
-    for N in _SPECTRAL_N, the sampled eigenvalues of a few joint and seeded levels."""
+    for N <= _JOINT_MAX the worst |t v - lambda v| / |t v| over the joint basis and the
+    seeded transfer eigenbasis, the orthonormality defect of the latter and, for N in
+    _SPECTRAL_N, the sampled eigenvalues of a few joint and seeded levels."""
     for n in range(2, min(nmax, ED_CAP) + 1):
         params = ModelParams(n_sites=n)
         res = core.spectrum(params)
@@ -95,20 +98,28 @@ def ed_records(nmax):
                "parity": res.parity.tolist()}
         if n <= _JOINT_MAX:
             _, vecs = core.joint_eigenstates(params)
-            worst = 0.0
-            for i in range(0, vecs.shape[1], _SLAB):
-                v = vecs[:, i:i + _SLAB]
-                tv = core.apply_transfer(U_PROBE, params, v)[0]
-                lam = np.sum(v.conj() * tv, axis=0) / np.sum(abs(v) ** 2, axis=0)
-                worst = max(worst, float(np.max(np.linalg.norm(tv - v * lam, axis=0)
-                                                / np.linalg.norm(tv, axis=0))))
-            rec["t_residual"] = worst
+            rec["t_residual"] = _t_residual(params, vecs)
+            seeded = ModelParams(n_sites=n, thetas=np.random.default_rng(n).uniform(-0.1, 0.1, n))
+            _, basis = core.transfer_eigenbasis(seeded)
+            rec["seeded_t_residual"] = _t_residual(seeded, basis)
+            rec["seeded_orthonormality"] = float(
+                np.max(np.abs(basis.conj().T @ basis - np.eye(2**n))))
             if n in _SPECTRAL_N:
-                seeded = ModelParams(n_sites=n,
-                                     thetas=np.random.default_rng(n).uniform(-0.1, 0.1, n))
-                rec["spectral"] = (_spectral(params, vecs, "joint") + _spectral(
-                    seeded, core.transfer_eigenbasis(seeded)[1], "seeded"))
+                rec["spectral"] = (_spectral(params, vecs, "joint")
+                                   + _spectral(seeded, basis, "seeded"))
         yield rec
+
+
+def _t_residual(params, vecs) -> float:
+    """The worst |t v - lambda v| / |t v| at U_PROBE over the columns v."""
+    worst = 0.0
+    for i in range(0, vecs.shape[1], _SLAB):
+        v = vecs[:, i:i + _SLAB]
+        tv = core.apply_transfer(U_PROBE, params, v)[0]
+        lam = np.sum(v.conj() * tv, axis=0) / np.sum(abs(v) ** 2, axis=0)
+        worst = max(worst, float(np.max(np.linalg.norm(tv - v * lam, axis=0)
+                                        / np.linalg.norm(tv, axis=0))))
+    return worst
 
 
 def _hex(z) -> list:

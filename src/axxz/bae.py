@@ -142,7 +142,8 @@ def solve_newton(initial, params: ModelParams, tol: float = _TOL) -> ZeroPointSe
     It gives up early, with NonConvergenceError naming the residual and the
     closest pair of roots, once the best residual has not fallen 10x in
     _STALL iterations: such a path wanders, and ends in a collision, a
-    non-physical energy or the iteration cap.
+    non-physical energy or the iteration cap. If two roots have already
+    merged (closer than _DEDUPE_TOL), the stall is a RootCollisionError.
     """
     if not 0 < tol < np.inf:  # a NaN fails both comparisons
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -155,6 +156,7 @@ def solve_newton(initial, params: ModelParams, tol: float = _TOL) -> ZeroPointSe
         _MAX_ITER, 40, _STALL,
     )
     if not ok and it < _MAX_ITER:
+        _check_collisions(z, _DEDUPE_TOL, float(nr))
         j, k, gap = _closest_pair(z)
         raise NonConvergenceError(
             f"stalled at residual {nr:.3e}: no 10x fall in {_STALL} iterations "

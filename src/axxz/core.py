@@ -6,23 +6,34 @@ t(u) = tr_0{ sigma^x_0 R_0N(u - theta_N) ... R_01(u - theta_1) } on vectors:
 `apply_transfer` costs O(N 2^N) work per u and column, without forming the
 matrix. Every check of t(u) goes through it, including the joint eigenbasis
 of H and t and H rebuilt from t'(0). The dense 2^N x 2^N t(u) of
-`build_transfer_matrix` is only built for `transfer_eigenbasis`, which
-splits t(U_PROBE) into its two U-parity blocks and solves each as a normal
-matrix (eigh of its Hermitian part), and as a test oracle. This module is
-the exact-diagonalization oracle everything else is checked against.
+`build_transfer_matrix` is only built for `transfer_eigenbasis` and as a
+test oracle. This module is the exact-diagonalization oracle everything
+else is checked against.
 
 Basis index bits are spins, site 1 the most significant bit, bit 0 = up.
 H, or any set of its rows, is filled from bit arithmetic on these indices,
-in O(N 2^N) work for the whole matrix, and the spin flip U = prod sigma^x
-maps index i to 2^N - 1 - i, so U acts on a vector or on matrix rows by
-reversal. The twisted translation
-G = sigma^x_1 T (T the cyclic shift) is a bit rotation with one flip; it
-commutes with H and every t(u) and G^N = U, so H is solved by one eigh per
-momentum sector k = 0..N of G (sector 2N-k is the conjugate of sector k),
-and a level in sector k has U-parity (-1)^k.
+in O(N 2^N) work for the whole matrix. Two spin flips halve the work:
+
+- U = prod sigma^x maps index i to 2^N - 1 - i, so it acts on a vector or
+  on matrix rows by reversal. It commutes with H and every t(u), and
+  t(u) = B(u) + U B(u) U, so t(u) on an exact U eigenstate costs one
+  propagation instead of two. Every basis here is built of exact U
+  eigenstates.
+- W = prod sigma^z is the sign (-1)^(down spins). It commutes with H and
+  anticommutes with every t(u), so t(U_PROBE) has exact +-Lambda pairs
+  v, W v, and `transfer_eigenbasis` solves half of them: at even N one
+  quarter-size problem per U block, at odd N the U = +1 block only.
+
+The twisted translation G = sigma^x_1 T (T the cyclic shift) is a bit
+rotation with one flip; it commutes with H and every t(u), G^N = U, and W
+anticommutes with G. So H splits into the momentum sectors k = 0..2N-1 of
+G, a level in sector k has U-parity (-1)^k, sector 2N-k is the conjugate
+of sector k and sector k+N is W times sector k: one eigh per sector
+k = 0..N/2 solves H.
 """
 from __future__ import annotations
 
+import functools
 import math
 import mmap
 
@@ -42,6 +53,7 @@ from .model import (
 _HERM_TOL = 1e-10  # largest imaginary part, or relative asymmetry on a test vector, taken as rounding
 _SLAB = 16  # columns per apply_transfer call in joint_eigenstates
 _RUN_GAP = 1e-4  # relative gap below which Hermitian-part eigenvalues share one small eig
+_JOINT_PHASE = np.exp(0.5j)  # 0.5 rad, no multiple of pi/N; see joint_eigenstates
 
 
 def _check_capacity(n: int):
@@ -160,7 +172,12 @@ def apply_transfer(u, params: ModelParams, vectors) -> np.ndarray:
     t(u) = B(u) + U B(u) U with B(u) the start-0, end-1 element of the
     monodromy. B is applied to the columns of [V, UV] (`_apply_b`); a column
     with V[::-1] = +-V gets no mirrored copy, since U B U V = +-U B V there,
-    and costs half.
+    and costs half. On a U-odd column that mirror is -(B V) where two starts
+    give B(UV): the same values, but a sum of two zeros of opposite sign is
+    +0.0 either way round, so a zero may come out with the other sign.
+    Nonzero entries with an exactly zero real or imaginary part make that
+    likely; `joint_eigenstates` turns its columns by a unit phase so that
+    none has one, and its U-odd columns get the two-start bits.
     """
     u = np.atleast_1d(np.asarray(u, dtype=complex))
     v = np.asarray(vectors, dtype=complex).reshape(2**params.n_sites, -1)
@@ -172,29 +189,32 @@ def apply_transfer(u, params: ModelParams, vectors) -> np.ndarray:
     # column i of U B U V is the reversal of column src[i] of b, negated where V is U-odd
     src = np.arange(v.shape[1])
     src[mixed] = v.shape[1] + np.arange(len(mixed))
-    mirror = b[:, ::-1, src]
-    np.negative(mirror, out=mirror, where=odd)
-    return b[..., :v.shape[1]] + mirror
+    mirror = b[::-1, src]
+    np.negative(mirror, out=mirror, where=odd[:, None])
+    out = np.empty((len(u),) + v.shape, dtype=complex)
+    np.add(b[:, :v.shape[1]].transpose(2, 0, 1), mirror.transpose(2, 0, 1), out=out)
+    return out
 
 
 def _apply_b(u, params: ModelParams, v) -> np.ndarray:
-    """B(u) @ v, shape (len(u), 2^N, K): R_0j(u - theta_j) applied site by site,
-    j = 1..N, to an array indexed (u, aux, spins and column) from aux 0, keeping
-    the aux-1 end. Each step is one product with the R weights, b+ where the
-    aux and site spins agree and b- where they differ, and the two hops; the
-    weights are taken once per distinct theta."""
+    """B(u) @ v, shape (2^N, K, len(u)): R_0j(u - theta_j) applied site by site,
+    j = 1..N, to an array indexed (aux, spins and column, u) from aux 0,
+    keeping the aux-1 end. Each step is one product with the R weights, b+
+    where the aux and site spins agree and b- where they differ, and the two
+    hops; the weights are taken once per distinct theta. The u axis is
+    innermost, so every step runs over contiguous runs of len(u) at least."""
     thetas, inverse = params.theta_groups
     bp, bm = _r_weights(u[:, None] - thetas)
-    # w[g, u, aux, 0, site, 0], broadcast over the spins left and right of the site
-    w = np.array([[bp, bm], [bm, bp]]).transpose(3, 2, 0, 1)[:, :, :, None, :, None]
-    x = np.zeros((len(u), 2, v.size), dtype=complex)
-    x[:, 0] = v.ravel()
+    # w[g, aux, 0, site, 0, u], broadcast over the spins left and right of the site
+    w = np.array([[bp, bm], [bm, bp]]).transpose(3, 0, 1, 2)[:, :, None, :, None, :]
+    x = np.zeros((2, v.size, len(u)), dtype=complex)
+    x[0] = v.reshape(-1, 1)
     for j, g in enumerate(inverse):
-        y = x.reshape(len(u), 2, 2**j, 2, -1)  # (u, aux, left, site j, right)
+        y = x.reshape(2, 2**j, 2, -1, len(u))  # (aux, left, site j, right, u)
         x = w[g] * y
-        x[:, 0, :, 1] += y[:, 1, :, 0]
-        x[:, 1, :, 0] += y[:, 0, :, 1]
-    return x[:, 1].reshape(len(u), len(v), -1)
+        x[0, :, 1] += y[1, :, 0]
+        x[1, :, 0] += y[0, :, 1]
+    return x[1].reshape(len(v), -1, len(u))
 
 
 def _twist(i, n: int):
@@ -202,72 +222,114 @@ def _twist(i, n: int):
     return ((i >> 1) | (i & 1) << (n - 1)) ^ (1 << (n - 1))
 
 
+@functools.cache
 def _twisted_orbits(n: int):
     """Orbits of the twisted translation G = sigma^x_1 T on basis indices.
 
     G^N = U, so every orbit length L_b divides 2N. Returns a (n_orbits, 2N)
     table whose row b is G^m r_b for m = 0..2N-1, r_b the smallest index of
-    orbit b, and the lengths L_b.
+    orbit b, and the lengths L_b; both read-only, since they are cached.
     """
     g = np.empty((2 * n, 2**n), dtype=np.int64)
     g[0] = np.arange(2**n)
     for m in range(1, 2 * n):
         g[m] = _twist(g[m - 1], n)
     reps, lengths = np.unique(g.min(axis=0), return_counts=True)
-    return g[:, reps].T, lengths
+    table = g[:, reps].T.copy()
+    table.flags.writeable = lengths.flags.writeable = False
+    return table, lengths
 
 
-def _sector_eigh(rows: np.ndarray, dtype=None):
-    """Spectrum of a real 2^N x 2^N matrix m that commutes with G, sector by sector.
+def _w_odd(i) -> np.ndarray:
+    """Where W = prod sigma^z is -1 on basis indices i: an odd number of spins down."""
+    return np.bitwise_count(i) & 1 == 1
+
+
+def _sector_source(ks, n: int):
+    """For each sector k of G, the solved sector k0 <= N/2 it comes from, and how.
+
+    W anticommutes with G, so W maps sector k to k + N; conjugation maps k to
+    2N - k. Returns (k0, conj, flip): sector k is conj(sector k0) where conj,
+    then times W where flip. Sector 2N - k is always the exact conjugate of
+    sector k, so sector 3N/2 is conj(sector N/2), not W times it.
+    """
+    r = ks % n
+    conj = (2 * r > n) | ((2 * r == n) & (ks > n))
+    return np.where(conj, n - r, r), conj, (ks >= n) ^ conj
+
+
+def _sector_eigh(rows: np.ndarray, vectors: bool = False):
+    """Spectrum of a real 2^N x 2^N matrix m that commutes with G and W, sector by sector.
 
     Takes only the rows of m at the orbit representatives r_b, in orbit
     order. Sector k, where G = e^{i pi k / N}, holds the orbits with
     k L_b = 0 mod 2N, spanned by
     |b, k> = sum_{m < L_b} e^{-i pi k m / N} |G^m r_b> / sqrt(L_b).
-    One real FFT over d of m[r_a, G^d r_b] gives the blocks of k = 0..N,
-    and each gets its own eigh (k = 0 and N are real). m is real, so the
-    block of sector 2N-k is the conjugate of that of sector k: its levels
-    take the same floats and its vectors the conjugates. A column is
-    written orbit by orbit: row G^d r_b of level j is
-    c[b, j] e^{-i pi k_j d / N} / sqrt(L_b), one product of coefficients
-    and phases per orbit. dtype complex gives these G eigenstates; dtype
-    float gives sqrt2 Re v and sqrt2 Im v in place of each conjugate pair
-    v, conj(v), and the real v of k = 0 and N. Returns (eigenvalues
-    ascending, sector k of each level, eigenvector columns, the level of
-    each level's conjugate partner); the last two are None without a dtype.
+    One real FFT over d of m[r_a, G^d r_b] gives the blocks, and only
+    sectors k = 0..N/2 get an eigh (k = 0 is real). Every other sector is
+    one of these signed by W (k + N) or conjugated (2N - k), or both
+    (`_sector_source`), and takes the same floats. Levels ascend, and a
+    run of equal energies lists U-parity +1 first. Returns (eigenvalues,
+    sector k of each level, orbit coefficients, source level of each
+    level): column j of the coefficients is c[b] / sqrt(L_b) of the
+    eigenvector of a solved level, and level j is built from column
+    src[j] (`_sector_columns`). The last two are None without vectors.
     """
     n = rows.shape[1].bit_length() - 1
     table, lengths = _twisted_orbits(n)
-    # blocks[a, k, b] = <a, k|m|b, k> for k = 0..N, from m[r_a, G^d r_b] at d = 0..2N-1
-    blocks = np.fft.rfft(rows[:, table.T], axis=1)
+    # blocks[a, k, b] = <a, k|m|b, k> for k = 0..N/2, from m[r_a, G^d r_b] at d = 0..2N-1
+    blocks = np.fft.rfft(rows[:, table.T], axis=1)[:, :n // 2 + 1]
     blocks *= (np.sqrt(np.outer(lengths, lengths)) / (2 * n))[:, None]
-    sels = [np.flatnonzero(k * lengths % (2 * n) == 0) for k in range(n + 1)]
+    sels = [np.flatnonzero(k * lengths % (2 * n) == 0) for k in range(n // 2 + 1)]
     # eigh even without vectors: eigvalsh rounds differently, which could
     # reorder the levels of a degenerate energy and so their sector labels
-    eigs = [np.linalg.eigh(blocks[:, k][np.ix_(sel, sel)].real if k % n == 0
+    eigs = [np.linalg.eigh(blocks[:, k][np.ix_(sel, sel)].real if k == 0
                            else blocks[:, k][np.ix_(sel, sel)]) for k, sel in enumerate(sels)]
-    src = np.r_[0:n + 1, n - 1:0:-1]  # sector k is solved as sector min(k, 2N-k)
-    sizes = [len(sels[s]) for s in src]
-    vals = np.concatenate([eigs[s].eigenvalues for s in src])
-    order = np.argsort(vals, kind="stable")
-    ks = np.repeat(np.arange(2 * n), sizes)[order]
-    if dtype is None:
-        return vals[order], ks, None, None
+    source = _sector_source(np.arange(2 * n), n)[0]
+    sizes = [len(sels[s]) for s in source]
+    vals = np.concatenate([eigs[s].eigenvalues for s in source])
+    sector = np.repeat(np.arange(2 * n), sizes)
+    order = np.lexsort((sector % 2, vals))
+    if not vectors:
+        return vals[order], sector[order], None, None
     slots = np.split(np.argsort(order), np.cumsum(sizes)[:-1])  # sorted slots, per sector
     coef = np.zeros((len(lengths), len(order)), dtype=complex)
-    partner = np.empty_like(order)
-    for k, s in enumerate(src):
-        v = eigs[s].eigenvectors / np.sqrt(lengths[sels[s]])[:, None]
-        coef[np.ix_(sels[s], slots[k])] = v if k <= n else v.conj()
-        partner[slots[k]] = slots[-k]
+    src = np.empty_like(order)
+    for k, s in enumerate(source):
+        if k == s:
+            coef[np.ix_(sels[s], slots[k])] = (eigs[s].eigenvectors
+                                               / np.sqrt(lengths[sels[s]])[:, None])
+        src[slots[k]] = slots[s]
+    return vals[order], sector[order], coef, src
+
+
+def _sector_columns(n: int, coef: np.ndarray, ks, src, dtype) -> np.ndarray:
+    """Eigenvector columns of sectors ks, built from the coefficient columns src.
+
+    Column j is level src[j]'s coefficients carried to sector ks[j]
+    (`_sector_source`) and written orbit by orbit: row G^d r_b is
+    c[b] phase[k d mod 2N], one product of coefficients and phases per
+    orbit. The phase table is built with phase[a + N] = -phase[a], so every
+    column is an exact U = G^N eigenstate, v[::-1] = (-1)^k v, and a column
+    built by W is exactly W times its source column. dtype
+    complex gives these G eigenstates; dtype float gives sqrt2 Re v and
+    sqrt2 Im v in place of each conjugate pair v, conj(v) (k < N and
+    k > N), and the real v of k = 0 and N.
+    """
+    table, lengths = _twisted_orbits(n)
+    _, conj, flip = _sector_source(ks, n)
+    c = coef[:, src]
+    np.conjugate(c, out=c, where=conj)
+    np.negative(c, out=c, where=_w_odd(table[:, 0])[:, None] & flip)
     if dtype is float:  # sqrt2 Im v is the real part of i sqrt2 conj(v), the partner's column
-        coef *= np.where(ks % n, np.sqrt(2), 1.0) * np.where(ks > n, 1j, 1.0)
-    phase = np.exp(-1j * np.pi / n * (np.outer(np.arange(2 * n), ks) % (2 * n)))
+        c *= np.where(ks % n, np.sqrt(2), 1.0) * np.where(ks > n, 1j, 1.0)
+    phase = np.exp(-1j * np.pi / n * np.arange(n))
+    phase = np.r_[phase, -phase][np.outer(np.arange(2 * n), ks) % (2 * n)]
     vecs = _dense((2**n, len(ks)), dtype)
-    for orbit, length, c in zip(table, lengths, coef):
-        block = c * phase[:length]
+    for orbit, length, cb in zip(table, lengths, c):
+        block = cb * phase[:length]
         vecs[orbit[:length]] = block.real if dtype is float else block
-    return vals[order], ks, vecs, partner
+    return vecs
 
 
 def spectrum(params: ModelParams) -> SpectrumResult:
@@ -285,19 +347,20 @@ def diagonalize_symmetric(m: np.ndarray) -> SpectrumResult:
     """Full ascending spectrum of a real symmetric chain operator.
 
     The dimension must be 2^N and the matrix must commute with the twisted
-    translation G, as H does. It is solved in the momentum sectors of G
-    (`_sector_eigh`): one eigh per sector k = 0..N, none wider than a
-    sector, and a level in sector k has U-parity (-1)^k because U = G^N.
-    Eigenvectors are real: the conjugate G eigenstates v and conj(v) of
-    sectors k and 2N-k become sqrt2 Re v and sqrt2 Im v, which share the
-    energy and the parity.
+    translation G and with W = prod sigma^z, as H does. It is solved in the
+    momentum sectors of G (`_sector_eigh`): one eigh per sector
+    k = 0..N/2, none wider than a sector, and a level in sector k has
+    U-parity (-1)^k because U = G^N. Eigenvectors are real, and exact U
+    eigenstates: the conjugate G eigenstates v and conj(v) of sectors k and
+    2N-k become sqrt2 Re v and sqrt2 Im v, which share the energy and the
+    parity.
     """
     m = np.asarray(m)
     if np.iscomplexobj(m) and np.max(np.abs(m.imag)) > _HERM_TOL:
         raise ValueError("matrix has a non-negligible imaginary part")
     m = np.real(m).astype(float, copy=False)
     dim = m.shape[0]
-    # m - m^T and [m, G^-1] on one fixed generic vector, where (G^-1 x)_i = x_{G(i)}
+    # m - m^T, [m, G^-1] and [m, W] on one fixed generic vector, where (G^-1 x)_i = x_{G(i)}
     x = np.cos(np.arange(dim))
     mx = m @ x
     tol = _HERM_TOL * max(np.linalg.norm(x), np.linalg.norm(mx))
@@ -309,8 +372,12 @@ def diagonalize_symmetric(m: np.ndarray) -> SpectrumResult:
     g = _twist(np.arange(dim), n)
     if np.linalg.norm(m @ x[g] - mx[g]) > tol:
         raise ValueError("matrix does not commute with the twisted translation")
-    vals, ks, v, _ = _sector_eigh(m[_twisted_orbits(n)[0][:, 0]], float)
-    return SpectrumResult(eigenvalues=vals, eigenvectors=v, parity=1 - 2 * (ks % 2))
+    odd = _w_odd(np.arange(dim))
+    if np.linalg.norm(m @ np.where(odd, -x, x) - np.where(odd, -mx, mx)) > tol:
+        raise ValueError("matrix does not commute with W = prod sigma^z")
+    vals, ks, coef, src = _sector_eigh(m[_twisted_orbits(n)[0][:, 0]], vectors=True)
+    return SpectrumResult(eigenvalues=vals, eigenvectors=_sector_columns(n, coef, ks, src, float),
+                          parity=1 - 2 * (ks % 2))
 
 
 def joint_eigenstates(params: ModelParams):
@@ -318,34 +385,36 @@ def joint_eigenstates(params: ModelParams):
 
     G commutes with H and every t(u), so H is solved sector by sector
     (`_sector_eigh`) from the rows of H at the orbit representatives alone.
-    Only levels still degenerate inside one sector k <= N are rotated into
-    eigenvectors of t(U_PROBE), applied to those columns alone; the partner
-    run of sector 2N-k takes the conjugate columns. Returns (energies
-    ascending, eigenvector matrix) with columns that are complex joint
-    eigenstates.
+    Only levels still degenerate inside one solved sector k <= N/2 are
+    rotated into eigenvectors of t(U_PROBE), applied to those columns
+    alone; the rotation is applied to their orbit coefficients, so the runs
+    of the sectors built from them by W and conjugation follow. W
+    anticommutes with every t(u), so W v is a joint eigenstate at -Lambda.
+    Returns (energies ascending, eigenvector matrix) with columns that are
+    complex joint eigenstates and exact U eigenstates, each turned by the
+    unit phase _JOINT_PHASE so that no nonzero entry is purely real or imaginary
+    (see `apply_transfer`).
     """
     n = params.n_sites
     rows = _representative_rows(params)  # checks the cap before the thetas are walked
     _check_zero_thetas(params, "joint eigenbasis")
-    vals, ks, vecs, partner = _sector_eigh(rows, complex)
-    # slots of the runs of levels within 1e-8 of each other inside one sector k <= N
+    vals, ks, coef, src = _sector_eigh(rows, vectors=True)
+    # runs of levels within 1e-8 of each other inside one sector; those of k <= N/2 are probed
     by_sector = np.lexsort((vals, ks))
-    cut = (np.diff(ks[by_sector]) != 0) | (np.diff(vals[by_sector]) >= 1e-8)
-    deg = [blk for blk in np.split(by_sector, np.flatnonzero(cut) + 1)
-           if len(blk) > 1 and ks[blk[0]] <= n]
-    cols = np.concatenate(deg) if deg else np.zeros(0, dtype=int)
-    x = vecs[:, cols]
+    run = np.r_[0, np.cumsum((np.diff(ks[by_sector]) != 0) | (np.diff(vals[by_sector]) >= 1e-8))]
+    probed = (np.bincount(run)[run] > 1) & (ks[by_sector] <= n // 2)
+    cols = by_sector[probed]
+    x = _sector_columns(n, coef, ks[cols], cols, complex)
     tx = np.empty_like(x)
     for i in range(0, len(cols), _SLAB):
         tx[:, i:i + _SLAB] = apply_transfer(U_PROBE, params, x[:, i:i + _SLAB])[0]
-    bounds = np.cumsum([len(blk) for blk in deg])[:-1]
-    for xb, tb in zip(np.split(x, bounds, axis=1), np.split(tx, bounds, axis=1)):
-        _, s = np.linalg.eig(xb.conj().T @ tb)
-        xb[:] = xb @ (s / np.linalg.norm(s, axis=0, keepdims=True))
-    vecs[:, cols] = x
-    pair = ks[cols] % n != 0  # sectors 0 and N are their own partners
-    vecs[:, partner[cols[pair]]] = x[:, pair].conj()
-    return vals, vecs
+    sizes = np.bincount(run[probed])
+    ends = np.cumsum(sizes[sizes > 0])
+    for blk in map(slice, np.r_[0, ends[:-1]], ends):
+        _, s = np.linalg.eig(x[:, blk].conj().T @ tx[:, blk])
+        coef[:, cols[blk]] = coef[:, cols[blk]] @ (s / np.linalg.norm(s, axis=0, keepdims=True))
+    coef *= _JOINT_PHASE
+    return vals, _sector_columns(n, coef, ks, src, complex)
 
 
 def _normal_eig(b: np.ndarray):
@@ -375,6 +444,61 @@ def _normal_eig(b: np.ndarray):
     return lam, v
 
 
+def _paired_eig(a: np.ndarray, b: np.ndarray):
+    """The eigenpairs of the normal matrix [[0, a], [b, 0]], from problems of the size of a.
+
+    It anticommutes with W = diag(1, -1), so its eigenvectors come in pairs
+    (x, y) at lam and (x, -y) at -lam; returns the first of each pair as
+    (lam, x, y), with |x|^2 + |y|^2 = 1. Its Hermitian part
+    [[0, c], [c^H, 0]], c = (a + b^H)/2 = P diag(sig) Q^H, has the
+    eigenvectors (p_j, +-q_j)/sqrt2 at +-sig_j, from one SVD. On the
+    columns (P e_j, Q e_j)/sqrt2 the matrix acts through X = P^H a Q and
+    Y = Q^H b P, and `_normal_eig`'s steps run there: a small eig inside
+    each run of sig closer than _RUN_GAP (relative), one on
+    [[0, X], [Y, 0]] for a last run close enough to 0 to take in its own
+    partners, and one Rayleigh-Ritz step against both halves of the pairs.
+    """
+    p, sig, qh = np.linalg.svd((a + b.conj().T) / 2)
+    q = qh.conj().T
+    x, y = p.conj().T @ a @ q, q.conj().T @ b @ p
+    cut = -np.diff(sig) > _RUN_GAP * sig[0]
+    label = np.r_[0, np.cumsum(cut)]
+    starts = np.r_[0, np.flatnonzero(cut) + 1]
+    ends = np.r_[starts[1:], len(sig)]
+    crossing = 2 * sig[-1] <= _RUN_GAP * sig[0]  # +-sig of the last run share one run
+    for lo, hi in zip(starts, ends):
+        run, r = slice(lo, hi), hi - lo
+        if crossing and hi == len(sig):
+            z = np.zeros((r, r))
+            _, s = np.linalg.eig(np.block([[z, x[run, run]], [y[run, run], z]]))
+            keep, left = [], list(range(2 * r))
+            while left:  # one column of each pair s, W s
+                keep.append(left.pop(0))
+                w = np.r_[s[:r, keep[-1]], -s[r:, keep[-1]]]
+                left.pop(int(np.argmax(np.abs(w.conj() @ s[:, left]))))
+            ra, rb = np.sqrt(2) * s[:r, keep], np.sqrt(2) * s[r:, keep]
+        elif r > 1:
+            ra = rb = np.linalg.eig((x[run, run] + y[run, run]) / 2)[1]
+        else:
+            continue
+        # the columns (P A e_j, Q B e_j)/sqrt2, so X -> A^H X B and Y -> B^H Y A
+        p[:, run], q[:, run] = p[:, run] @ ra, q[:, run] @ rb
+        x[:, run], y[:, run] = x[:, run] @ rb, y[:, run] @ ra
+        x[run], y[run] = ra.conj().T @ x[run], rb.conj().T @ y[run]
+    c, d = (x + y) / 2, (x - y) / 2  # <v_j|B|v_i> and <W v_j|B|v_i>, W v_j at -lam_j
+    lam = c.diagonal().copy()
+    same = label[:, None] == label
+    both = crossing & (label == label[-1])
+    pair = both[:, None] & both
+    # v_i += sum_j v_j c_ji / (lam_i - lam_j) + W v_j d_ji / (lam_i + lam_j) over other runs
+    ct = np.where(same, 0.0, c / np.where(same, 1.0, lam - lam[:, None]))
+    dt = np.where(pair, 0.0, d / np.where(pair, 1.0, lam + lam[:, None]))
+    p += p @ (ct + dt)
+    q += q @ (ct - dt)
+    norm = np.sqrt(np.linalg.norm(p, axis=0) ** 2 + np.linalg.norm(q, axis=0) ** 2)
+    return lam, p / norm, q / norm
+
+
 def transfer_eigenbasis(params: ModelParams):
     """Eigenbasis of t(U_PROBE), valid for any real inhomogeneities.
 
@@ -384,21 +508,44 @@ def transfer_eigenbasis(params: ModelParams):
     so t(U_PROBE) is normal, and U = prod sigma^x commutes with it. U
     reverses the index order, so the U = +-1 block of t in the basis
     (|i> +- |2^N - 1 - i>)/sqrt(2), i < 2^(N-1), is
-    t[:h, :h] +- t[:h, ::-1][:, :h]; each block is solved by `_normal_eig`,
-    so no eig is wider than a run of near-equal eigenvalues. Columns are
+    t[:h, :h] +- t[:h, ::-1][:, :h]. W = prod sigma^z anticommutes with t,
+    and is the sign s_i = (-1)^(down spins of i) on these coefficients.
+    At even N, W commutes with U, so each U block couples W-even only to
+    W-odd indices and is solved in quarter-size blocks (`_paired_eig`). At
+    odd N, W anticommutes with U: the U = +1 block is solved
+    (`_normal_eig`), and the U = -1 block is W times it. Either way the
+    eigenvalues are exact +-lam pairs with columns v and W v. Columns are
     orthonormal U eigenstates sorted by decreasing |eigenvalue|.
     """
     if np.any(params.theta_array.imag != 0):
         raise ValueError("transfer eigenbasis needs real thetas (t(U_PROBE) is normal only then)")
     t = build_transfer_matrix(U_PROBE, params)
     h = len(t) // 2
-    blocks = [_normal_eig(t[:h, :h] + sign * t[:h, ::-1][:, :h]) for sign in (1, -1)]
-    vals = np.concatenate([lam for lam, _ in blocks])
+    w_odd = _w_odd(np.arange(h))
+    vals, tops = [], []  # per U block: eigenvalues and the top halves of the columns
+    if params.n_sites % 2:
+        lam, v = _normal_eig(t[:h, :h] + t[:h, ::-1][:, :h])
+        v /= np.sqrt(2)
+        vals, tops = [lam, -lam], [v, np.where(w_odd[:, None], -v, v)]
+    else:
+        even, odd = np.flatnonzero(~w_odd), np.flatnonzero(w_odd)
+        for sign in (1, -1):
+            a, b = (t[np.ix_(r, c)] + sign * t[np.ix_(r, len(t) - 1 - c)]
+                    for r, c in ((even, odd), (odd, even)))
+            lam, x, y = _paired_eig(a, b)
+            x, y = x / np.sqrt(2), y / np.sqrt(2)
+            v = np.empty((h, h), dtype=complex)
+            v[even], v[odd] = np.hstack([x, x]), np.hstack([y, -y])
+            vals += [lam, -lam]
+            tops.append(v)
+    del t  # freed before the result of the same size is allocated
+    vals = np.concatenate(vals)
     order = np.argsort(-np.abs(vals), kind="stable")
-    # top half of every column, sorted (take keeps C order); the bottom half is its
-    # reversal times the parity
-    top = np.hstack([v for _, v in blocks]).take(order, axis=1) / np.sqrt(2)
-    return vals[order], np.vstack([top, top[::-1] * np.repeat([1, -1], h)[order]])
+    out = _dense((2 * h, 2 * h), complex)
+    np.take(np.hstack(tops), order, axis=1, out=out[:h])
+    out[h:] = out[:h][::-1]
+    np.negative(out[h:], out=out[h:], where=order >= h)  # the U = -1 block comes second
+    return vals[order], out
 
 
 def transfer_eigenvalue_on_state(u, params: ModelParams, state: np.ndarray):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from axxz import bae, core, thermo
+from axxz import bae, cli, core, thermo
 from axxz.model import (
     ETA,
     Excitation,
@@ -373,6 +373,20 @@ class TestNewton:
             f"stalled at residual {exc.value.residual:.3e}: no 10x fall in 12 iterations "
             f"(closest roots {j} and {k}, {gap:.3e} apart)")
         assert exc.value.residual == np.linalg.norm(bae.bae_residual(calls[-1], params))
+
+    def test_stall_on_merged_roots_is_a_collision(self, monkeypatch, capsys):
+        # N = 11 type_II position 3 stalls with two roots already equal: the stall names
+        # the collision, and the CLI keeps the solver-failure exit code
+        params = ModelParams(n_sites=11)
+        seed = bae.seed_from_quantum_numbers(bae.type_two_numbers(11, 3), params)
+        calls = self._record_residual_calls(monkeypatch, bae.bae_residual)
+        with pytest.raises(RootCollisionError,
+                           match=r"^roots \d+ and \d+ collided within 1e-08; solve is invalid$"):
+            bae.solve_newton(seed, params)
+        assert bae._closest_pair(calls[-1])[2] < bae._DEDUPE_TOL
+        monkeypatch.undo()
+        code = cli.main(["bae", "--n", "11", "--pattern", "type_II", "--position", "3"])
+        assert code == 3 and "collided" in capsys.readouterr().err
 
     def test_stall_needs_twelve_flat_iterations(self, monkeypatch, params6):
         # a residual stuck at one norm: the best of iteration 12 is not 10x below that

@@ -147,11 +147,14 @@ class TestHamiltonian:
         assert v.dtype == np.float64
         assert np.max(np.abs(v.T @ v - np.eye(2**n))) < 1e-12
         assert np.max(np.linalg.norm(h @ v - v * res.eigenvalues, axis=0)) < 1e-12
-        assert np.max(np.linalg.norm(v[::-1] - res.parity * v, axis=0)) < 1e-12
-        # sector 2N-k is the conjugate of sector k, so it has the same floats
+        assert np.all(v[::-1] == res.parity * v)  # a U eigenstate exactly, not to rounding
+        # sector 2N-k is the conjugate of sector k and sector k+N is W times sector k,
+        # so they have the same floats
         vals, ks, _, _ = core._sector_eigh(h[core._twisted_orbits(n)[0][:, 0]])
         for k in range(1, n):
             assert np.array_equal(vals[ks == k], vals[ks == 2 * n - k])
+        for k in range(n):
+            assert np.array_equal(vals[ks == k], vals[ks == k + n])
         assert np.sum(res.parity) == 0  # tr U = 0
 
     @pytest.mark.parametrize("n", range(2, 13))
@@ -185,7 +188,7 @@ class TestHamiltonian:
             core.diagonalize_symmetric(np.eye(3))
 
     def test_diagonalize_solves_sector_blocks_only(self, monkeypatch):
-        # one eigh per sector k = 0..N, none wider than a sector
+        # one eigh per sector k = 0..N/2, none wider than a sector
         widths = []
         for name in ("eigh", "eigvalsh"):
             orig = getattr(np.linalg, name)
@@ -200,7 +203,30 @@ class TestHamiltonian:
         for solve in (lambda: core.diagonalize_symmetric(h), lambda: core.spectrum(params)):
             widths.clear()
             solve()
-            assert 0 < len(widths) <= 11 and max(widths) <= 64
+            assert 0 < len(widths) <= 6 and max(widths) <= 64
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_parity_order_in_degenerate_runs(self, n):
+        # W pairs sectors k and k + N with the same floats; at odd N they have opposite
+        # U-parities, and a run of equal energies lists +1 first
+        levels = core.spectrum(ModelParams(n_sites=n))
+        e, par = levels.eigenvalues, levels.parity
+        tie = e[1:] == e[:-1]
+        assert np.all(par[1:][tie] <= par[:-1][tie])
+        assert np.any(tie & (par[1:] != par[:-1])) == bool(n % 2)
+
+    def test_diagonalize_needs_w_symmetry(self):
+        # a transverse field commutes with G but flips W = prod sigma^z
+        n = 4
+        h = core.build_hamiltonian(ModelParams(n_sites=n))
+        idx = np.arange(2**n)
+        for j in range(n):
+            h[idx, idx ^ (1 << j)] += 0.3
+        x = np.cos(idx)
+        g = core._twist(idx, n)
+        assert np.allclose(h @ x[g], (h @ x)[g])
+        with pytest.raises(ValueError, match="prod sigma\\^z"):
+            core.diagonalize_symmetric(h)
 
     def test_diagonalize_peak_memory(self):
         import tracemalloc
@@ -402,7 +428,21 @@ class TestApplyTransfer:
             assert got.shape == (len(us), 2**n, k)
             assert np.array_equal(bits(got), bits(two_start_transfer(us, params, vecs[:, :k])))
 
-    @pytest.mark.parametrize("n", [4, 7])
+    @pytest.mark.parametrize("thetas", ["zero", "random"])
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_w_anticommutes(self, n, thetas):
+        # W = prod sigma^z flips the sign of t(u) exactly; == takes -0.0 and 0.0 as equal
+        rng = np.random.default_rng(1000 + n)
+        th = tuple(rng.uniform(-0.1, 0.1, n)) if thetas == "random" else None
+        params = ModelParams(n_sites=n, thetas=th)
+        s = np.where(core._w_odd(np.arange(2**n)), -1.0, 1.0)[:, None]
+        w = rng.normal(size=(2**n, 3)) + 1j * rng.normal(size=(2**n, 3))
+        x = np.column_stack([w[:, 0] + w[::-1, 0], w[:, 1] - w[::-1, 1], w[:, 2]])
+        us = np.r_[U_PROBE, 0.0, rng.normal(size=2) + 1j * rng.normal(size=2)]
+        got = core.apply_transfer(us, params, s * x)
+        assert np.all(got == -s * core.apply_transfer(us, params, x))
+
+    @pytest.mark.parametrize("n", [4, 6, 7])
     def test_eigenbasis_columns_bit_identical_to_oracle(self, n):
         # basis columns carry exact zeros and parity from how they are built
         rng = np.random.default_rng(n)
@@ -448,6 +488,15 @@ class TestApplyTransfer:
         core.apply_transfer(U_PROBE, params, vecs)
         assert widths == [64]
 
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_joint_columns_cost_half(self, monkeypatch, n):
+        # every joint column is a U eigenvector exactly, U-odd ones included
+        params = ModelParams(n_sites=n)
+        vecs = core.joint_eigenstates(params)[1]
+        widths = self._record_widths(monkeypatch)
+        core.apply_transfer(U_PROBE, params, vecs)
+        assert widths == [2**n]
+
     def test_vector_input_keeps_a_column_axis(self, params6, joint6):
         _, vecs = joint6
         assert core.apply_transfer([0.1, 0.2j], params6, vecs[:, 0]).shape == (2, 64, 1)
@@ -486,6 +535,8 @@ class TestEigenstates:
         resid = np.linalg.norm(tv - lam * vecs, axis=0) / np.linalg.norm(tv, axis=0)
         assert np.max(resid) <= 1e-10
         assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(2**n))) < 1e-12
+        parity = 1 - 2 * (core._sector_eigh(core._representative_rows(params))[1] % 2)
+        assert np.all(vecs[::-1] == parity * vecs)
 
     def test_joint_basis_rejects_thetas(self):
         with pytest.raises(ValueError):
@@ -501,7 +552,7 @@ class TestEigenstates:
 
         monkeypatch.setattr(core, "apply_transfer", counting)
         core.joint_eigenstates(ModelParams(n_sites=10))
-        assert 0 < sum(seen) <= 108  # the runs of sectors k <= N; all 2N sectors hold 144
+        assert 0 < sum(seen) <= 72  # the runs of sectors k <= N/2; all 2N sectors hold 144
 
     def test_joint_basis_peak_memory(self):
         import tracemalloc
@@ -527,7 +578,7 @@ class TestEigenstates:
 
 class TestTransferEigenbasis:
     @pytest.mark.parametrize("kind", ["random", "zero"])
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", range(2, 11))
     def test_eigenpairs(self, n, kind):
         rng = np.random.default_rng(800 + n)
         thetas = tuple(rng.uniform(-0.1, 0.1, n)) if kind == "random" else None
@@ -547,6 +598,17 @@ class TestTransferEigenbasis:
         odd = np.linalg.norm(vecs[::-1] + vecs, axis=0) <= 1e-12
         assert np.all(even | odd) and np.sum(even) == 2 ** (n - 1)
         assert np.all(np.diff(np.abs(vals)) <= 0)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_exact_w_pairs(self, n):
+        # each column v at lam has its partner W v at -lam, as the same floats
+        thetas = tuple(np.random.default_rng(n).uniform(-0.1, 0.1, n))
+        vals, vecs = core.transfer_eigenbasis(ModelParams(n_sites=n, thetas=thetas))
+        s = np.where(core._w_odd(np.arange(2**n)), -1.0, 1.0)[:, None]
+        partner = np.argmin(np.abs(vals[:, None] + vals), axis=1)
+        assert np.array_equal(np.sort(partner), np.arange(2**n))
+        assert np.array_equal(vals[partner], -vals)
+        assert np.all(vecs[:, partner] == s * vecs)
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_adjoint_is_shifted_transfer(self, n):
@@ -572,19 +634,46 @@ class TestTransferEigenbasis:
         assert np.max(np.linalg.norm(b @ vecs - vals * vecs, axis=0)) <= 1e-14
         assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(6))) <= 1e-14
 
+    def test_paired_eig_resolves_runs(self):
+        # [[0, a], [b, 0]] with eigenvalues +-lam: Hermitian parts 1 and 1 + 1e-7, 0.4 and
+        # 0.4 + 3e-9 share runs, and 2e-9 and -1e-9 share one run with their own partners
+        # round 0; the imaginary parts tell them apart
+        rng = np.random.default_rng(18)
+        lam = np.array([1 + 0.5j, 1 + 1e-7 - 0.3j, 0.4 + 0.2j, 0.4 + 3e-9 - 0.6j, 0.2 + 0.1j,
+                        1.3, 2e-9 + 0.7j, -1e-9 + 0.35j])
+        x, y = (np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))[0]
+                for _ in range(2))
+        a, b = (x * lam) @ y.conj().T, (y * lam) @ x.conj().T
+        vals, xv, yv = core._paired_eig(a, b)
+        full = np.block([[np.zeros((8, 8)), a], [b, np.zeros((8, 8))]])
+        vecs = np.block([[xv, xv], [yv, -yv]])
+        both = np.r_[vals, -vals]
+        assert np.max(np.abs(np.sort_complex(both) - np.sort_complex(np.r_[lam, -lam]))) <= 1e-14
+        assert np.max(np.linalg.norm(full @ vecs - both * vecs, axis=0)) <= 1e-14
+        assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(16))) <= 1e-14
+
     def test_no_eig_on_the_full_space(self, monkeypatch):
-        widths = []
-        orig = np.linalg.eig
+        # even N: no eigh, svd or eig wider than 2^(N-2); odd N: one eigh, of one U block
+        widths = {}
+        for name in ("eigh", "svd", "eig"):
+            orig = getattr(np.linalg, name)
 
-        def recording(a, *args, **kw):
-            widths.append(np.shape(a)[-1])
-            return orig(a, *args, **kw)
+            def recording(a, *args, _orig=orig, _name=name, **kw):
+                widths.setdefault(_name, []).append(np.shape(a)[-1])
+                return _orig(a, *args, **kw)
 
-        monkeypatch.setattr(np.linalg, "eig", recording)
-        n = 10  # the first size whose probe spectrum has runs of near-equal Hermitian parts
-        params = ModelParams(n_sites=n, thetas=tuple(np.random.default_rng(10).uniform(-0.1, 0.1, n)))
-        core.transfer_eigenbasis(params)
-        assert widths and max(widths) <= 4
+            monkeypatch.setattr(np.linalg, name, recording)
+        # N = 10 is the first size whose probe spectrum has runs of near-equal Hermitian parts
+        for n in (9, 10):
+            widths.clear()
+            thetas = tuple(np.random.default_rng(n).uniform(-0.1, 0.1, n))
+            core.transfer_eigenbasis(ModelParams(n_sites=n, thetas=thetas))
+            if n % 2:
+                assert widths["eigh"] == [2 ** (n - 1)] and "svd" not in widths
+            else:
+                assert "eigh" not in widths and widths["svd"] == [2 ** (n - 2)] * 2
+            assert max(widths.get("eig", [0])) <= 4
+        assert widths["eig"]
 
     def test_rejects_complex_thetas(self):
         with pytest.raises(ValueError, match="real thetas"):
