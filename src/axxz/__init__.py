@@ -14,41 +14,3 @@ scattering amplitudes. Submodules:
 """
 
 from . import bae, core, thermo, tqverify
-from .model import (
-    COSH_ETA,
-    ED_CAP,
-    ETA,
-    SINH_ETA,
-    U_PROBE,
-    CapacityError,
-    ConsistencyError,
-    DegeneracyResolutionError,
-    DensityProfile,
-    Excitation,
-    ExcitationSpec,
-    InconsistentZeroSetError,
-    ModelParams,
-    NonConvergenceError,
-    NonPhysicalRootsError,
-    QuantumNumberSet,
-    RootPattern,
-    ScatteringAmplitude,
-    SingularConfigurationError,
-    SpectralFunction,
-    SpectrumResult,
-    ZeroPointSet,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "ETA", "SINH_ETA", "COSH_ETA", "ED_CAP", "U_PROBE",
-    "ModelParams", "SpectrumResult", "Excitation",
-    "QuantumNumberSet", "RootPattern", "ZeroPointSet", "SpectralFunction",
-    "DensityProfile", "ExcitationSpec", "ScatteringAmplitude",
-    "CapacityError", "DegeneracyResolutionError",
-    "SingularConfigurationError", "NonConvergenceError", "NonPhysicalRootsError",
-    "InconsistentZeroSetError", "ConsistencyError",
-    "core", "bae", "tqverify", "thermo", "cli",
-    "__version__",
-]

@@ -200,7 +200,6 @@ class SpectralFunction:
 
     lambda0: complex
     zeros: tuple
-    fit_residuals: tuple | None = None  # bilinear diagnostics from the fit
     band_weight: float | None = None  # off-band Fourier weight of the samples
 
     def __post_init__(self):

@@ -1,15 +1,15 @@
 """Closed-form thermodynamic-limit quantities and their quadrature checks.
 
-Kernels a_m and their Fourier transforms, the ground-state root density
-with its two boundary holes, the hole contribution Delta, the ground
-energy density (3 - 3*sqrt(3))/2, both elementary dispersion laws, the
-density shifts they induce, and the three two-body scattering amplitudes.
-Every Fourier-derived closed form can be re-checked against a direct
-numerical solution of its integral equation, by conjugate gradients with
-an FFT mat-vec (numpy only). The energy quadratures are
-trapezoid sums on a uniform grid: each integrand is analytic in a strip
-around the real axis and decays exponentially, so the sum converges
-geometrically and no adaptive integrator is needed.
+Kernels a_m, the ground-state root density with its two boundary holes,
+the hole contribution Delta, the ground energy density (3 - 3*sqrt(3))/2,
+both elementary dispersion laws, the density shifts they induce, and the
+three two-body scattering amplitudes. Every Fourier-derived closed form
+can be re-checked against a direct numerical solution of its integral
+equation, by conjugate gradients with an FFT mat-vec (numpy only). The
+energy quadratures are trapezoid sums on a uniform grid centred where the
+density decays from: each integrand is analytic in a strip around the real
+axis and decays exponentially, so the sum converges geometrically and no
+adaptive integrator is needed.
 """
 from __future__ import annotations
 
@@ -64,32 +64,6 @@ def a_m(lam, m: int):
         raise ValueError("a_m is defined for m in {1, 2, 4}")
     lam = np.clip(np.asarray(lam, dtype=float), -_COSH_MAX / 2, _COSH_MAX / 2)
     out = (1 / np.pi) * np.sin(m * GAMMA) / (np.cosh(2 * lam) - np.cos(m * GAMMA))
-    return out if out.ndim else float(out)
-
-
-def a_m_fourier(w, m: int):
-    """Fourier transform of a_m; the w=0 removable point is 1 - m/3.
-
-    sinh((1/2 - delta) pi w) / sinh(pi w / 2), delta = m/6. Where
-    sinh(pi w / 2) would overflow (|w| > 452.3) it is its exponential tail
-    sign(1/2 - delta) exp(-min(delta, 1 - delta) pi |w|), to which the ratio
-    has long been equal in floating point, so the result is finite and
-    warning-free at every finite w.
-    """
-    if m not in (1, 2, 4):
-        raise ValueError("a_m_fourier is defined for m in {1, 2, 4}")
-    delta = m / 6.0
-    w = np.asarray(w, dtype=float)
-    small = np.abs(w) < 1e-12
-    tail = np.abs(w) > 2 * _COSH_MAX / np.pi  # exactly where |pi w / 2| > _COSH_MAX
-    safe = np.where(small | tail, 1.0, w)
-    far = np.minimum(np.abs(w), 1e4)  # exp underflows to 0 long before
-    out = np.where(
-        small,
-        1.0 - 2 * delta,
-        np.where(tail, np.sign(0.5 - delta) * np.exp(-min(delta, 1 - delta) * np.pi * far),
-                 np.sinh(np.pi * safe / 2 - delta * np.pi * safe) / np.sinh(np.pi * safe / 2)),
-    )
     return out if out.ndim else float(out)
 
 
@@ -172,17 +146,18 @@ def _coth(z):
     return 1.0 / np.tanh(z)
 
 
-def _energy_quadrature(profile: DensityProfile, root_terms=()):
+def _energy_quadrature(profile: DensityProfile, centre: float, root_terms=()):
     """i*sqrt3 * (integral coth(lam - i pi/6) rho(lam) + sum coth(z)) for the O(1)
     density rho of profile, smooth part plus hole atoms.
 
     root_terms are the z-plane positions of discrete roots added on top of
     the sea; each atom (position p, weight w) adds w * i*sqrt3 coth(p - i pi/6).
-    The smooth integrand is analytic for |Im lam| < pi/6 and negligible beyond
-    QUAD_CUTOFF, so the trapezoid sum on 801 uniform nodes converges
+    The smooth integrand is analytic for |Im lam| < pi/6 and negligible
+    farther than QUAD_CUTOFF from centre, the point the density decays from,
+    so the trapezoid sum on 801 uniform nodes around it converges
     geometrically.
     """
-    x = np.linspace(-QUAD_CUTOFF, QUAD_CUTOFF, 801)
+    x = centre + np.linspace(-QUAD_CUTOFF, QUAD_CUTOFF, 801)
     total = np.trapezoid(1j * SQ3 * _coth(x - 1j * np.pi / 6) * profile.smooth(x), x)
     for z in root_terms:
         total += 1j * SQ3 * _coth(z)
@@ -198,7 +173,7 @@ def ground_energy_density() -> float:
     2 sinh(eta) int coth(lam - i pi/6) rho + cosh(eta)), and the two must
     agree to 1e-8.
     """
-    val = _energy_quadrature(DensityProfile(rho_bulk)) + 0.5
+    val = _energy_quadrature(DensityProfile(rho_bulk), 0.0) + 0.5
     if abs(val.real - E_GROUND_DENSITY) > 1e-8 or abs(val.imag) > 1e-8:
         raise ConsistencyError(
             f"quadrature {val} disagrees with closed form {E_GROUND_DENSITY}"
@@ -241,11 +216,13 @@ def excitation_energy_quadrature(spec: ExcitationSpec) -> float:
 
     The n factors cancel, so the shift is excitation_profile at n = 1: the
     smooth n * delta_rho and, for type_II, the dragged bulk hole of weight -1.
-    The excited roots enter as discrete coth terms.
+    The excited roots enter as discrete coth terms. The shift decays from
+    alpha, so the grid is centred there, which holds the sum to rounding at
+    every |alpha| <= 700.
     """
     a = spec.alpha
     roots = {"type_I": (a - 2j * np.pi / 3,), "type_II": (a + 1j * np.pi / 6, a - 1j * np.pi / 2)}
-    val = _energy_quadrature(excitation_profile(spec, 1), roots[spec.kind])
+    val = _energy_quadrature(excitation_profile(spec, 1), a, roots[spec.kind])
     if abs(val.imag) > 1e-8:
         raise ConsistencyError(f"dispersion quadrature came out complex: {val}")
     return float(val.real)

@@ -9,8 +9,8 @@ identities built from
 the bilinear relation Lambda(theta_j) Lambda(theta_j - eta) = q(theta_j),
 with the quantum determinant q(u) = -a(u) d(u - eta), at the inhomogeneity
 points, and a cubic relation that holds at every u. This module extracts the
-factored form from eigenvectors by one FFT of 4N samples, fits the prefactor
-from zero sets, and verifies the identities numerically.
+factored form from eigenvectors by one FFT of 4N samples and verifies the
+identities numerically.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import functools
 
 import numpy as np
 
-from .bae import _zeros_of, canonicalize
+from .bae import canonicalize
 from .core import transfer_eigenvalue_on_state
 from .model import (
     ETA,
@@ -61,40 +61,6 @@ def lambda_from_zeros(u, f: SpectralFunction):
 def quantum_determinant(u, params: ModelParams):
     """The quantum determinant q(u) = -a(u) d(u - eta); vectorized in u."""
     return -a_function(u, params) * d_function(np.asarray(u) - ETA, params)
-
-
-def fit_lambda0(zeros, params: ModelParams) -> SpectralFunction:
-    """Fix the prefactor of a zero set through the bilinear identity.
-
-    At each theta_j the identity determines lambda0 squared; the square root
-    is taken at the best-conditioned point. The sign is a convention: both
-    signs of lambda0 occur in the spectrum with identical zeros (the spin
-    flip along z maps one onto the other), and every identity used here is
-    even in lambda0. Residuals of the identity at all N points travel with
-    the result; they diagnose an inconsistent zero set when the thetas are
-    distinct (coincident thetas collapse everything onto one equation, which
-    the fit satisfies by construction). The fit itself only fails when the
-    product of sinh factors is negligible at every point.
-    """
-    z = _zeros_of(zeros)
-    th = params.theta_array
-    if len(z) != params.n_sites - 1:
-        raise InconsistentZeroSetError(
-            f"{len(z)} zeros cannot belong to an N = {params.n_sites} eigenvalue"
-        )
-    unit = SpectralFunction(lambda0=1.0, zeros=z)
-    prods = lambda_from_zeros(th, unit) * lambda_from_zeros(th - ETA, unit)
-    rhs = quantum_determinant(th, params)
-    scale = max(1.0, float(np.max(np.abs(rhs))))
-    usable = np.abs(prods) > 1e-12 * scale
-    if not np.any(usable):
-        raise InconsistentZeroSetError(
-            "bilinear identity is degenerate at every inhomogeneity point"
-        )
-    best = int(np.argmax(np.abs(prods)))
-    lam0 = complex(np.sqrt(rhs[best] / prods[best]))
-    resid = _rel_residual(lam0 ** 2 * prods, [rhs])
-    return SpectralFunction(lambda0=lam0, zeros=tuple(z), fit_residuals=tuple(resid.tolist()))
 
 
 def _sampled_spectrum(state: np.ndarray, params: ModelParams):

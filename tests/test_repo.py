@@ -1,10 +1,13 @@
 """Repository-level checks: the README's library sketch and command lines run
-as written, and scripts/source_size.py counts lines the way its docstring says."""
+as written, scripts/source_size.py counts lines the way its docstring says, and
+src/axxz holds no function or class that only the tests call."""
+import ast
 import os
 import re
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,3 +58,40 @@ def test_source_size_script(tmp_path):
         assert int(lines) == len((ROOT / "src" / "axxz" / name).read_text().splitlines())
         assert 0 < int(code) < int(lines)
     assert rows[-1][1:] == [str(sum(int(r[k]) for r in rows[:-1])) for k in (1, 2)]
+
+
+def _named(tree):
+    """Every name a tree mentions: Names, attributes, import aliases and string constants."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from filter(None, (node.name.rpartition(".")[2], node.asname))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_library_names_have_a_caller_outside_the_tests():
+    """Every public top-level function and class of src/axxz is named somewhere in
+    src/axxz, scripts/ or perfbench/ outside its own definition, so the library
+    holds no code that only the tests call; such code belongs in the tests.
+
+    Some names stay alive only through perfbench/: theta_m, functional_form_check,
+    build_hamiltonian and diagonalize_symmetric. ROADMAP items 7, 8 and 11 say
+    when they go.
+    """
+    trees = {path: ast.parse(path.read_text())
+             for folder in ("src/axxz", "scripts", "perfbench")
+             for path in sorted((ROOT / folder).rglob("*.py"))}
+    named = Counter(name for tree in trees.values() for name in _named(tree))
+    unused = [
+        f"{path.stem}.{node.name}"
+        for path, tree in trees.items() if path.parent.name == "axxz"
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and named[node.name] == Counter(_named(node))[node.name]
+    ]
+    assert unused == []

@@ -92,14 +92,14 @@ class TestKernels:
             for w in (0.0, 0.5, 1.0, 2.3):
                 val, _ = quad(lambda x: thermo.a_m(x, m) * np.cos(w * x),
                               -40, 40, limit=400)
-                assert abs(val - thermo.a_m_fourier(w, m)) < 1e-9
+                assert abs(val - a_m_fourier(w, m)) < 1e-9
 
     def test_fourier_closed_ratios(self):
         w = np.linspace(-4, 4, 41)
-        t1, t2 = thermo.a_m_fourier(w, 1), thermo.a_m_fourier(w, 2)
+        t1, t2 = a_m_fourier(w, 1), a_m_fourier(w, 2)
         assert np.max(np.abs(t1 / (1 - t2) - np.cosh(np.pi * w / 6) / np.cosh(np.pi * w / 3))) < 1e-12
         assert np.max(np.abs(t2 / (1 - t2) - 0.5 / np.cosh(np.pi * w / 3))) < 1e-12
-        assert thermo.a_m_fourier(1.0, 4) < 0  # the m=4 channel goes negative
+        assert a_m_fourier(1.0, 4) < 0  # the m=4 channel goes negative
 
     def test_counting_inverse(self):
         for lam in (-2.0, -0.3, 0.0, 0.9, 3.5):
@@ -337,6 +337,24 @@ def test_kernel_even_property(x):
     assert abs(thermo.a_m(x, 4) + thermo.a_m(x, 2)) < 1e-14
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=-700, max_value=700, allow_nan=False))
+@example(13.0)
+@example(-13.0)
+@example(20.0)
+@example(100.0)
+@example(700.0)
+@example(-700.0)
+def test_dispersion_quadrature_follows_the_rapidity(alpha):
+    # the density shift decays from alpha; a grid fixed around 0 misses it from |alpha| = 13 on
+    for kind in ("type_I", "type_II"):
+        spec = ExcitationSpec(kind, alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            quadr = thermo.excitation_energy_quadrature(spec)
+        assert abs(quadr - thermo.excitation_energy(spec)) <= 1e-12
+
+
 BIG = np.finfo(float).max
 
 
@@ -355,6 +373,32 @@ def test_closed_forms_finite_at_every_rapidity(x, a, n):
     for proc in ("I_I", "II_II", "I_II"):
         s = thermo.smatrix(proc, x, a).value
         assert np.isfinite(s) and abs(abs(s) - 1) <= 1e-15
+
+
+def a_m_fourier(w, m: int):
+    """Fourier transform of thermo.a_m; the w=0 removable point is 1 - m/3.
+
+    sinh((1/2 - delta) pi w) / sinh(pi w / 2), delta = m/6. Where
+    sinh(pi w / 2) would overflow (|w| > 452.3) it is its exponential tail
+    sign(1/2 - delta) exp(-min(delta, 1 - delta) pi |w|), to which the ratio
+    has long been equal in floating point, so the result is finite and
+    warning-free at every finite w.
+    """
+    if m not in (1, 2, 4):
+        raise ValueError("a_m_fourier is defined for m in {1, 2, 4}")
+    delta = m / 6.0
+    w = np.asarray(w, dtype=float)
+    small = np.abs(w) < 1e-12
+    tail = np.abs(w) > 2 * thermo._COSH_MAX / np.pi  # exactly where |pi w / 2| > _COSH_MAX
+    safe = np.where(small | tail, 1.0, w)
+    far = np.minimum(np.abs(w), 1e4)  # exp underflows to 0 long before
+    out = np.where(
+        small,
+        1.0 - 2 * delta,
+        np.where(tail, np.sign(0.5 - delta) * np.exp(-min(delta, 1 - delta) * np.pi * far),
+                 np.sinh(np.pi * safe / 2 - delta * np.pi * safe) / np.sinh(np.pi * safe / 2)),
+    )
+    return out if out.ndim else float(out)
 
 
 def _plain_kernels(x, m):
@@ -381,7 +425,7 @@ def test_kernels_finite_at_every_argument(x):
     for m in (1, 2, 4):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # any warning, not only a RuntimeWarning
-            a, fourier = thermo.a_m(x, m), thermo.a_m_fourier(x, m)
+            a, fourier = thermo.a_m(x, m), a_m_fourier(x, m)
         assert np.isfinite(a) and np.isfinite(fourier)
         plain_a, cosh_finite, plain_fourier, sinh_finite = _plain_kernels(x, m)
         if cosh_finite:
@@ -395,8 +439,8 @@ def test_fourier_tail_continues_the_ratio(m):
     # the two floats either side of the overflow of sinh(pi w / 2)
     inside = 452.30298031293574
     outside = np.nextafter(inside, np.inf)
-    ratio = thermo.a_m_fourier(inside, m)
-    tail = thermo.a_m_fourier(outside, m)
+    ratio = a_m_fourier(inside, m)
+    tail = a_m_fourier(outside, m)
     assert not _plain_kernels(outside, m)[3]
     assert abs(tail - ratio) <= 1e-12 * abs(ratio)
-    assert thermo.a_m_fourier(-outside, m) == tail
+    assert a_m_fourier(-outside, m) == tail

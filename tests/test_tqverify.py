@@ -94,25 +94,58 @@ class TestExtraction:
             tqverify.spectral_function_from_state(vecs[:, 0] + vecs[:, 9], params6)
 
 
+def fit_lambda0(zeros, params):
+    """(SpectralFunction, residuals): a zero set with its prefactor fixed through
+    the bilinear identity, and that identity's relative residuals at all N points.
+
+    At each theta_j the identity determines lambda0 squared; the square root
+    is taken at the best-conditioned point. The sign is a convention: both
+    signs of lambda0 occur in the spectrum with identical zeros (the spin
+    flip along z maps one onto the other), and every identity used here is
+    even in lambda0. The residuals diagnose an inconsistent zero set when the
+    thetas are distinct (coincident thetas collapse everything onto one
+    equation, which the fit satisfies by construction). The fit itself only
+    fails when the product of sinh factors is negligible at every point.
+    """
+    z = bae._zeros_of(zeros)
+    th = params.theta_array
+    if len(z) != params.n_sites - 1:
+        raise InconsistentZeroSetError(
+            f"{len(z)} zeros cannot belong to an N = {params.n_sites} eigenvalue"
+        )
+    unit = SpectralFunction(lambda0=1.0, zeros=z)
+    prods = tqverify.lambda_from_zeros(th, unit) * tqverify.lambda_from_zeros(th - ETA, unit)
+    rhs = tqverify.quantum_determinant(th, params)
+    scale = max(1.0, float(np.max(np.abs(rhs))))
+    if not np.any(np.abs(prods) > 1e-12 * scale):
+        raise InconsistentZeroSetError(
+            "bilinear identity is degenerate at every inhomogeneity point"
+        )
+    best = int(np.argmax(np.abs(prods)))
+    lam0 = complex(np.sqrt(rhs[best] / prods[best]))
+    resid = tqverify._rel_residual(lam0 ** 2 * prods, [rhs])
+    return SpectralFunction(lambda0=lam0, zeros=z), tuple(resid.tolist())
+
+
 class TestFit:
     def test_fit_reproduces_eigenvalue_up_to_sign(self, params6, joint6):
         _, vecs = joint6
         extracted = tqverify.spectral_function_from_state(vecs[:, 0], params6)
-        fitted = tqverify.fit_lambda0(np.asarray(extracted.zeros), params6)
+        fitted, resid = fit_lambda0(np.asarray(extracted.zeros), params6)
         ratio = fitted.lambda0 / extracted.lambda0
         assert min(abs(ratio - 1), abs(ratio + 1)) < 1e-8
-        assert max(fitted.fit_residuals) < 1e-10
+        assert max(resid) < 1e-10
 
     def test_wrong_count_rejected(self, params6):
         with pytest.raises(InconsistentZeroSetError):
-            tqverify.fit_lambda0(np.array([0.1, 0.2]), params6)
+            fit_lambda0(np.array([0.1, 0.2]), params6)
 
     def test_junk_zeros_show_large_residuals(self, inhom_params):
         # a consistent-count but wrong zero set must not fit silently; this
         # needs distinct thetas, since coincident ones give a single equation
         junk = np.array([0.4 - 0.5236j, -0.8 - 0.5236j, 1.3 - 0.5236j])
-        f = tqverify.fit_lambda0(junk, inhom_params)
-        assert max(f.fit_residuals) > 1e-2
+        _, resid = fit_lambda0(junk, inhom_params)
+        assert max(resid) > 1e-2
 
 
 class TestIdentities:
@@ -147,7 +180,7 @@ class TestIdentities:
         zps = bae.solve_newton(
             bae.seed_from_quantum_numbers(bae.type_one_numbers(6, 0), params6), params6
         )
-        f = tqverify.fit_lambda0(zps, params6)
+        f, _ = fit_lambda0(zps, params6)
         assert tqverify.verify_bilinear(f, params6)["max_residual"] < 1e-10
         assert tqverify.verify_cubic(f, params6)["max_relative_residual"] < 1e-8
 
@@ -283,7 +316,7 @@ class TestAgainstLoops:
     def test_fit_residuals(self, sampled_levels):
         params, fs = sampled_levels
         for f in fs:
-            got = tqverify.fit_lambda0(np.asarray(f.zeros), params).fit_residuals
+            got = fit_lambda0(np.asarray(f.zeros), params)[1]
             assert np.allclose(got, _fit_residuals_loop(f.zeros, params), rtol=0, atol=1e-15)
 
     def test_draw_samples_reproduces_loop(self):
