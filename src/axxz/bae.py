@@ -13,7 +13,7 @@ well-scaled and makes branch bookkeeping explicit.
 A labeling is solved in two stages that share one damped-Newton loop: a real
 solve of the idealized counting-function system of the root centres gives the
 seed, and the complex zero-point equations are solved from it. Both systems are
-in tanh form. The zero-point residual, its Jacobian and the collision check run
+in tanh form. The zero-point residual, its Jacobian and the root-pair scan run
 over row blocks of _BLOCK entries, with one theta factor per distinct theta.
 """
 from __future__ import annotations
@@ -42,7 +42,7 @@ _TOL = 1e-12  # default Newton stop on the residual 2-norm
 _MAX_ITER = 200  # Newton iterations before NonConvergenceError
 _STALL = 12  # zero-point Newton iterations without a 10x fall of the best residual
 _DEDUPE_TOL = 1e-8  # two converged roots closer than this are a collision
-_BLOCK = 1 << 14  # entries per row block of the residual, Jacobian and collision check
+_BLOCK = 1 << 14  # entries per row block of the residual, Jacobian and root-pair scan
 _SQ3 = np.sqrt(3.0)
 _I_SQ3 = 1j * _SQ3  # tanh(eta)
 _STRING_KICK = 0.045  # nudge string seeds off the exact line, where the
@@ -142,8 +142,11 @@ def solve_newton(initial, params: ModelParams, tol: float = _TOL) -> ZeroPointSe
     It gives up early, with NonConvergenceError naming the residual and the
     closest pair of roots, once the best residual has not fallen 10x in
     _STALL iterations: such a path wanders, and ends in a collision, a
-    non-physical energy or the iteration cap. If two roots have already
-    merged (closer than _DEDUPE_TOL), the stall is a RootCollisionError.
+    non-physical energy or the iteration cap. The converged and the stalled
+    exit each scan the root pairs once (_pair_scan): two roots closer than
+    _DEDUPE_TOL are a RootCollisionError at either, and the stall message
+    names the closest pair. The iteration-cap exit scans nothing. The energy
+    is taken from the roots as iterated, before they are canonicalized.
     """
     if not 0 < tol < np.inf:  # a NaN fails both comparisons
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -155,18 +158,16 @@ def solve_newton(initial, params: ModelParams, tol: float = _TOL) -> ZeroPointSe
         lambda r, nr: nr < tol or np.max(np.abs(r)) <= floor,
         _MAX_ITER, 40, _STALL,
     )
-    if not ok and it < _MAX_ITER:
-        _check_collisions(z, _DEDUPE_TOL, float(nr))
-        j, k, gap = _closest_pair(z)
+    if it == _MAX_ITER:
+        raise NonConvergenceError(
+            f"no convergence in {_MAX_ITER} iterations (residual {nr:.3e})", float(nr)
+        )
+    j, k, gap = _pair_scan(z, _DEDUPE_TOL, float(nr))
+    if not ok:
         raise NonConvergenceError(
             f"stalled at residual {nr:.3e}: no 10x fall in {_STALL} iterations "
             f"(closest roots {j} and {k}, {gap:.3e} apart)", float(nr)
         )
-    if not ok:
-        raise NonConvergenceError(
-            f"no convergence in {_MAX_ITER} iterations (residual {nr:.3e})", float(nr)
-        )
-    _check_collisions(z, _DEDUPE_TOL, float(nr))
     return ZeroPointSet(
         zeros=canonicalize(z),
         energy=energy_from_zeros(z, params),
@@ -221,29 +222,24 @@ def _damped_newton(x, residual, jacobian, converged, max_iter: int, halvings: in
     return x, norm, max_iter, False
 
 
-def _closest_pair(z):
-    """(j, k, |z_j - z_k|) for the closest pair j < k of canonical roots, row-blocked."""
+def _pair_scan(z, tol, residual):
+    """(j, k, |z_j - z_k|) for the closest pair j < k of the canonical roots, scanned in
+    row blocks; the first pair closer than tol in row-major order is a RootCollisionError
+    carrying `residual`."""
     zc = canonicalize(z)
-    step = max(1, _BLOCK // max(len(zc), 1))
+    cols, step = np.arange(len(zc)), max(1, _BLOCK // max(len(zc), 1))
     best = (0, 0, np.inf)
     for lo in range(0, len(zc), step):
         gap = np.abs(zc[lo:lo + step, None] - zc)
-        gap[np.tril_indices_from(gap, lo)] = np.inf
+        np.copyto(gap, np.inf, where=cols[lo:lo + step, None] >= cols)  # j >= k: diagonal and below
         j, k = divmod(int(np.argmin(gap)), len(zc))
+        if gap[j, k] < tol:  # a pair of this block collided: name the first
+            j, k = divmod(int(np.argmax(gap < tol)), len(zc))
+            raise RootCollisionError(f"roots {lo + j} and {k} collided within {tol:g}; "
+                                     "solve is invalid", residual)
         if gap[j, k] < best[2]:
             best = (lo + j, k, float(gap[j, k]))
     return best
-
-
-def _check_collisions(z, tol, residual):
-    zc = canonicalize(z)
-    step = max(1, _BLOCK // max(len(zc), 1))
-    for lo in range(0, len(zc), step):  # row blocks, so the first pair is row-major
-        close = np.triu(np.abs(zc[lo:lo + step, None] - zc) < tol, 1 + lo)
-        if close.any():
-            j, k = divmod(int(np.argmax(close)), len(zc))
-            raise RootCollisionError(f"roots {lo + j} and {k} collided within {tol:g}; "
-                                     "solve is invalid", residual)
 
 
 # ---------------------------------------------------------------------------

@@ -163,9 +163,19 @@ class TestRowBlocks:
                      if abs(z[j] - z[k]) < 1e-8)
         monkeypatch.setattr(bae, "_BLOCK", 2 * len(z))  # two rows a block
         with pytest.raises(RootCollisionError, match=f"roots {pair[0]} and {pair[1]} collided"):
-            bae._check_collisions(z, 1e-8, 0.0)
+            bae._pair_scan(z, 1e-8, 0.0)
         assert first == pair
-        bae._check_collisions(np.arange(7.0), 1e-8, 0.0)  # no pair, diagonal of every block
+        # no pair, diagonal of every block
+        assert bae._pair_scan(np.arange(7.0), 1e-8, 0.0) == (0, 1, 1.0)
+
+    @pytest.mark.parametrize("rows", [1, 2, 1 << 14])
+    def test_collision_names_first_pair_not_closest(self, monkeypatch, rows):
+        # rows 0 and 1 each hold a collision; the closest, (0, 3), comes after (0, 2)
+        z = np.array([0.0, 0.5, 1e-9, 0.0, 0.5 + 5e-10])
+        monkeypatch.setattr(bae, "_BLOCK", rows * len(z))
+        with pytest.raises(RootCollisionError, match="roots 0 and 2 collided"):
+            bae._pair_scan(z, 1e-8, 0.0)
+        assert bae._pair_scan(z, 0.0, 0.0) == (0, 3, 0.0)
 
     def test_working_memory_is_one_block(self):
         z, params = _random_system(512, 5)
@@ -368,7 +378,7 @@ class TestNewton:
             bae.solve_newton(seed, params)
         assert not isinstance(exc.value, RootCollisionError)
         assert len(calls) <= 500
-        j, k, gap = bae._closest_pair(calls[-1])
+        j, k, gap = bae._pair_scan(calls[-1], bae._DEDUPE_TOL, 0.0)
         assert str(exc.value) == (
             f"stalled at residual {exc.value.residual:.3e}: no 10x fall in 12 iterations "
             f"(closest roots {j} and {k}, {gap:.3e} apart)")
@@ -380,10 +390,13 @@ class TestNewton:
         params = ModelParams(n_sites=11)
         seed = bae.seed_from_quantum_numbers(bae.type_two_numbers(11, 3), params)
         calls = self._record_residual_calls(monkeypatch, bae.bae_residual)
-        with pytest.raises(RootCollisionError,
-                           match=r"^roots \d+ and \d+ collided within 1e-08; solve is invalid$"):
+        collided = r"^roots \d+ and \d+ collided within 1e-08; solve is invalid$"
+        with pytest.raises(RootCollisionError, match=collided) as exc:
             bae.solve_newton(seed, params)
-        assert bae._closest_pair(calls[-1])[2] < bae._DEDUPE_TOL
+        assert bae._pair_scan(calls[-1], 0.0, 0.0)[2] < bae._DEDUPE_TOL
+        with pytest.raises(RootCollisionError) as scan:
+            bae._pair_scan(calls[-1], bae._DEDUPE_TOL, exc.value.residual)
+        assert str(scan.value) == str(exc.value)
         monkeypatch.undo()
         code = cli.main(["bae", "--n", "11", "--pattern", "type_II", "--position", "3"])
         assert code == 3 and "collided" in capsys.readouterr().err
@@ -414,7 +427,7 @@ class TestNewton:
     def test_closest_pair_across_blocks(self, monkeypatch, block):
         z = np.array([0.5, 1.0, 0.3, 1.0 + 1e-3, 0.3 + 2e-4j, 2.0, 2.1, 0.5 + 3e-4])
         monkeypatch.setattr(bae, "_BLOCK", block * len(z))  # `block` rows a block
-        j, k, gap = bae._closest_pair(z)
+        j, k, gap = bae._pair_scan(z, 1e-8, 0.0)
         zc = bae.canonicalize(z)
         assert (j, k) == (2, 4) and gap == abs(zc[2] - zc[4])
 
@@ -423,9 +436,28 @@ class TestNewton:
         first = next((j, k) for j in range(len(z)) for k in range(j + 1, len(z))
                      if abs(z[j] - z[k]) < 1e-8)
         with pytest.raises(RootCollisionError, match="roots 1 and 3 collided") as exc:
-            bae._check_collisions(z, 1e-8, 2.5e-13)
+            bae._pair_scan(z, 1e-8, 2.5e-13)
         assert first == (1, 3)
         assert exc.value.residual == 2.5e-13
+
+    @pytest.mark.parametrize("labeling, max_iter, stop", [
+        (bae.ground_numbers(9), 200, None),
+        (bae.type_two_numbers(9, 4), 200, "stalled"),
+        (bae.type_two_numbers(9, 4), 3, "no convergence"),
+    ])
+    def test_pair_scan_once_per_exit(self, monkeypatch, labeling, max_iter, stop):
+        # the converged and the stalled exit scan once; the iteration cap does not
+        params = ModelParams(n_sites=9)
+        seed = bae.seed_from_quantum_numbers(labeling, params)
+        calls, scan = [], bae._pair_scan
+        monkeypatch.setattr(bae, "_pair_scan", lambda *a: calls.append(a) or scan(*a))
+        monkeypatch.setattr(bae, "_MAX_ITER", max_iter)
+        if stop is None:
+            bae.solve_newton(seed, params)
+        else:
+            with pytest.raises(NonConvergenceError, match=f"^{stop}"):
+                bae.solve_newton(seed, params)
+        assert len(calls) == (stop != "no convergence")
 
 
 class TestEnergy:

@@ -264,6 +264,12 @@ class TestHamiltonian:
                 core.build_transfer_matrix(U_PROBE, params)]
         assert sum(a.nbytes for a in kept) == 48 * 2**20
         assert malloced() - before < 2**20
+        # each mapping is private ("p" in the permissions), which huge pages can back
+        with open("/proc/self/maps") as maps:
+            spans = [(*(int(x, 16) for x in span.split("-")), perms)
+                     for span, perms, *_ in map(str.split, maps)]
+        for a in kept:
+            assert [perms[3] for lo, hi, perms in spans if lo <= a.ctypes.data < hi] == ["p"]
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
@@ -604,6 +610,7 @@ class TestTransferEigenbasis:
         # each column v at lam has its partner W v at -lam, as the same floats
         thetas = tuple(np.random.default_rng(n).uniform(-0.1, 0.1, n))
         vals, vecs = core.transfer_eigenbasis(ModelParams(n_sites=n, thetas=thetas))
+        assert vecs.flags.c_contiguous  # verify's output bits depend on the layout
         s = np.where(core._w_odd(np.arange(2**n)), -1.0, 1.0)[:, None]
         partner = np.argmin(np.abs(vals[:, None] + vals), axis=1)
         assert np.array_equal(np.sort(partner), np.arange(2**n))
