@@ -11,7 +11,9 @@ line per N = 2..12, labeled "ed": the levels of core.spectrum as hex
 floats, the parity of each level, for N <= 10 the worst relative
 t(U_PROBE) residual of the columns of core.joint_eigenstates, and the
 same residual and the orthonormality defect max |V^H V - 1| of
-core.transfer_eigenbasis at seeded thetas, and, for N = 4..8, the lambda0
+core.transfer_eigenbasis at seeded thetas, with the two figures its W pairing
+relies on (the smallest |lambda| and the smallest gap between eigenvalues of
+one U block, both over the largest |lambda|), and, for N = 4..8, the lambda0
 and zeros that tqverify.spectral_function_from_state extracts from a few
 joint levels and a few levels of the transfer eigenbasis, as hex floats;
 about 2 s more.
@@ -89,8 +91,9 @@ def records(nmax):
 def ed_records(nmax):
     """One record per N = 2..min(nmax, ED_CAP): the ED levels and parities, and
     for N <= _JOINT_MAX the worst |t v - lambda v| / |t v| over the joint basis and the
-    seeded transfer eigenbasis, the orthonormality defect of the latter and, for N in
-    _SPECTRAL_N, the sampled eigenvalues of a few joint and seeded levels."""
+    seeded transfer eigenbasis, the orthonormality defect of the latter, its two premise
+    figures (`_premise`) and, for N in _SPECTRAL_N, the sampled eigenvalues of a few
+    joint and seeded levels."""
     for n in range(2, min(nmax, ED_CAP) + 1):
         params = ModelParams(n_sites=n)
         res = core.spectrum(params)
@@ -100,10 +103,11 @@ def ed_records(nmax):
             _, vecs = core.joint_eigenstates(params)
             rec["t_residual"] = _t_residual(params, vecs)
             seeded = ModelParams(n_sites=n, thetas=np.random.default_rng(n).uniform(-0.1, 0.1, n))
-            _, basis = core.transfer_eigenbasis(seeded)
+            lam, basis = core.transfer_eigenbasis(seeded)
             rec["seeded_t_residual"] = _t_residual(seeded, basis)
             rec["seeded_orthonormality"] = float(
                 np.max(np.abs(basis.conj().T @ basis - np.eye(2**n))))
+            rec["seeded_min_abs"], rec["seeded_block_gap"] = _premise(lam, basis)
             if n in _SPECTRAL_N:
                 rec["spectral"] = (_spectral(params, vecs, "joint")
                                    + _spectral(seeded, basis, "seeded"))
@@ -120,6 +124,16 @@ def _t_residual(params, vecs) -> float:
         worst = max(worst, float(np.max(np.linalg.norm(tv - v * lam, axis=0)
                                         / np.linalg.norm(tv, axis=0))))
     return worst
+
+
+def _premise(lam, vecs):
+    """min |lambda| and the smallest gap between two eigenvalues of one U block, both
+    over max |lambda|; the U-parity of a column is read from its exact mirror symmetry."""
+    top = float(np.max(np.abs(lam)))
+    even = np.all(vecs[::-1] == vecs, axis=0)
+    gap = min(float(np.min(np.abs(b[:, None] - b) + np.diag(np.full(len(b), np.inf))))
+              for b in (lam[even], lam[~even]))
+    return float(np.min(np.abs(lam))) / top, gap / top
 
 
 def _hex(z) -> list:

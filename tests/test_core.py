@@ -629,6 +629,22 @@ class TestTransferEigenbasis:
             assert abs(abs(c) - 1) <= 1e-13
             assert rel(adj, c * shifted) <= 1e-13
 
+    @pytest.mark.parametrize("kind", ["random", "zero"])
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_probe_spectrum_premise(self, n, kind):
+        # _paired_eig divides by lam and _normal_eig of a b separates lam^2: every |lam| of
+        # t(U_PROBE) stays away from 0, and the eigenvalues of each U block stay apart
+        rng = np.random.default_rng(800 + n)
+        thetas = tuple(rng.uniform(-0.1, 0.1, n)) if kind == "random" else None
+        t = core.build_transfer_matrix(U_PROBE, ModelParams(n_sites=n, thetas=thetas))
+        h = len(t) // 2
+        blocks = [np.linalg.eigvals(t[:h, :h] + sign * t[:h, ::-1][:, :h]) for sign in (1, -1)]
+        top = np.max(np.abs(blocks))
+        assert np.min(np.abs(blocks)) >= 0.2 * top
+        for lam in blocks:
+            gaps = np.abs(lam[:, None] - lam) + np.diag(np.full(h, np.inf))
+            assert np.min(gaps) >= 1e-4 * top
+
     def test_normal_eig_resolves_runs(self):
         # Hermitian parts 1 and 1 + 1e-7, -0.4 and -0.4 + 3e-9 share runs;
         # the imaginary parts tell them apart
@@ -678,7 +694,7 @@ class TestTransferEigenbasis:
             if n % 2:
                 assert widths["eigh"] == [2 ** (n - 1)] and "svd" not in widths
             else:
-                assert "eigh" not in widths and widths["svd"] == [2 ** (n - 2)] * 2
+                assert widths["eigh"] == [2 ** (n - 2)] * 2 and "svd" not in widths
             assert max(widths.get("eig", [0])) <= 4
         assert widths["eig"]
 
